@@ -26,7 +26,8 @@ int main() {
     auto model = BenchBaseModel();
     const WeightVector greedy = WeightVector(1.0, 0.0, 0.0).Sanitized();
     schemes.push_back({"MOCC", [model, greedy](const LinkParams& link) {
-                         return MakeMoccCc(model, greedy, "MOCC", 0.4 * link.bandwidth_bps);
+                         return PolicySpec().WithModel(model).MakeController(
+                             greedy, 0.4 * link.bandwidth_bps);
                        }});
   }
   for (auto& s : HandcraftedSchemes()) {

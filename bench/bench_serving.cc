@@ -1,14 +1,18 @@
 // Connection-scale serving throughput: how many flows one core can terminate
 // when all MOCC decisions flow through ONE MoccServing instance (shared model,
 // shared float32 replica, slab state, deadline-wheel batching — src/serving/)
-// instead of the pre-serving deployment of one private RlRateController +
-// float32 replica per flow stepping ForwardRowF32 one row at a time.
+// instead of the per-flow deployment of one RlRateController per flow: N
+// one-connection engines, each with its own float32 replica, deciding one row
+// at a time. Both shapes run the same decision code, so the ratio measures
+// batching and the shared replica.
 //
 // Three sections:
 //   1. Bit-exactness (hard gate, sanitizers included): at equal decision counts
 //      and identical report streams, every serving rate must equal the per-flow
-//      controller's rate to the last bit. A mismatch is a correctness bug, not a
-//      perf regression — exit 1 unconditionally.
+//      controller's rate to the last bit — a connection's decisions must not
+//      depend on its batch (384 connections span a 256-row chunk boundary). A
+//      mismatch is a correctness bug, not a perf regression — exit 1
+//      unconditionally.
 //   2. Equal-decision throughput: N externally clocked connections, one
 //      SubmitReport per flow per round, one RatePoll deciding the whole round in
 //      a single batched forward vs. N per-flow OnMonitorInterval calls.
@@ -88,9 +92,9 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
 
 // --- Section 2 runners -------------------------------------------------------
 
-// Per-flow baseline: `flows` dedicated float32 controllers (each with its own
-// replica — the pre-serving deployment shape), one OnMonitorInterval per flow
-// per round. Returns decisions/second.
+// Per-flow baseline: `flows` float32 controllers (one-connection engines, each
+// with its own replica), one OnMonitorInterval per flow per round. Returns
+// decisions/second.
 double MeasurePerflow(const PolicySpec& spec, int flows, double window_s) {
   std::vector<std::unique_ptr<RlRateController>> ccs;
   ccs.reserve(flows);

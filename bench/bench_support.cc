@@ -96,7 +96,8 @@ std::vector<SchemeSpec> AllBaselineSchemes() {
 SchemeSpec MoccScheme(const WeightVector& w, const std::string& name) {
   auto model = BenchBaseModel();
   return {name, [model, w, name](const LinkParams& link) {
-            return MakeMoccCc(model, w, name, RlInitialRate(link));
+            return PolicySpec().WithModel(model).WithName(name).MakeController(
+                w, RlInitialRate(link));
           }};
 }
 

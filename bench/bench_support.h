@@ -10,9 +10,9 @@
 #include <vector>
 
 #include "src/baselines/aurora.h"
-#include "src/core/mocc_cc.h"
 #include "src/core/model_zoo.h"
 #include "src/core/offline_trainer.h"
+#include "src/core/policy_spec.h"
 #include "src/core/presets.h"
 #include "src/netsim/packet_network.h"
 

@@ -9,8 +9,8 @@
 #include "src/baselines/bbr.h"
 #include "src/baselines/cubic.h"
 #include "src/common/table.h"
-#include "src/core/mocc_cc.h"
 #include "src/core/model_zoo.h"
+#include "src/core/policy_spec.h"
 #include "src/core/presets.h"
 
 int main() {
@@ -31,7 +31,8 @@ int main() {
   const WeightVector greedy = WeightVector(1.0, 0.0, 0.0).Sanitized();
   {
     const RunningStat stat = RunBulkTransfers(
-        config, [&] { return MakeMoccCc(model, greedy, "MOCC"); }, repetitions, 55);
+        config, [&] { return PolicySpec().WithModel(model).MakeController(greedy); },
+        repetitions, 55);
     t.AddRow({"MOCC <1,0,0>", TablePrinter::Num(stat.Mean(), 2),
               TablePrinter::Num(stat.StdDev(), 3)});
   }

@@ -7,8 +7,8 @@
 #include <iostream>
 
 #include "src/common/table.h"
-#include "src/core/mocc_cc.h"
 #include "src/core/model_zoo.h"
+#include "src/core/policy_spec.h"
 #include "src/core/presets.h"
 #include "src/netsim/packet_network.h"
 
@@ -30,7 +30,7 @@ int main() {
   for (double w_thr : {0.8, 0.65, 0.5, 0.35, 0.2, 0.1}) {
     const WeightVector w = WeightVector(w_thr, 0.9 - w_thr, 0.1);
     PacketNetwork net(link, 4242);
-    const int flow = net.AddFlow(MakeMoccCc(model, w));
+    const int flow = net.AddFlow(PolicySpec().WithModel(model).MakeController(w));
     net.Run(40.0);
     const FlowRecord& rec = net.record(flow);
     t.AddRow({w.ToString(), TablePrinter::Num(rec.AvgThroughputBps(15.0, 40.0) / 1e6, 1),

@@ -9,8 +9,8 @@
 #include "src/baselines/bbr.h"
 #include "src/baselines/cubic.h"
 #include "src/common/table.h"
-#include "src/core/mocc_cc.h"
 #include "src/core/model_zoo.h"
+#include "src/core/policy_spec.h"
 #include "src/core/presets.h"
 #include "src/netsim/packet_network.h"
 
@@ -34,7 +34,7 @@ int main() {
     std::string name;
     switch (which) {
       case 0:
-        cc = MakeMoccCc(model, RtcObjective(), "MOCC");
+        cc = PolicySpec().WithModel(model).MakeController(RtcObjective());
         name = "MOCC <0.4,0.5,0.1>";
         break;
       case 1:

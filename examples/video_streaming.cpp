@@ -9,8 +9,8 @@
 #include "src/apps/video.h"
 #include "src/baselines/cubic.h"
 #include "src/common/table.h"
-#include "src/core/mocc_cc.h"
 #include "src/core/model_zoo.h"
+#include "src/core/policy_spec.h"
 #include "src/core/presets.h"
 #include "src/netsim/packet_network.h"
 
@@ -36,7 +36,7 @@ int main() {
     std::string name;
     if (which == 0) {
       // The video app registers its preference: throughput matters, latency doesn't.
-      cc = MakeMoccCc(model, ThroughputObjective(), "MOCC");
+      cc = PolicySpec().WithModel(model).MakeController(ThroughputObjective());
       name = "MOCC <0.8,0.1,0.1>";
     } else {
       cc = std::make_unique<CubicCc>();

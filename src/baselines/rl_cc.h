@@ -1,8 +1,13 @@
 // Deploys a trained Gaussian-policy ActorCritic as a rate-based congestion controller:
-// each monitor interval it rebuilds the observation (optional preference prefix + the
-// g⃗(t,η) history, identical to training) and applies the Eq. (1) multiplicative rate
-// update with the policy's mean action. Used for Aurora (no prefix) and, through the core
-// library, for MOCC (weight-vector prefix).
+// each monitor interval it pushes the report into the observation (optional preference
+// prefix + the g⃗(t,η) history, identical to training) and applies the Eq. (1)
+// multiplicative rate update with the policy's mean action. Used for Aurora (no prefix)
+// and, through PolicySpec, for MOCC (weight-vector prefix).
+//
+// The controller is a CongestionControl adapter over a private one-connection
+// ServingEngine (src/serving/serving_engine.h): history push, inference, guard, Eq. (1)
+// and clamp are the serving layer's, so a flow decides exactly as it would as one
+// connection of a MoccServing.
 #ifndef MOCC_SRC_BASELINES_RL_CC_H_
 #define MOCC_SRC_BASELINES_RL_CC_H_
 
@@ -10,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "src/envs/mi_history.h"
 #include "src/netsim/cc_interface.h"
 #include "src/rl/actor_critic.h"
 #include "src/rl/guarded_policy.h"
@@ -41,7 +45,7 @@ class RlRateController : public CongestionControl {
     // Deployment guardrails: validate every per-MI decision through a GuardedPolicy
     // circuit breaker and degrade to a warm-standby CUBIC fallback on violation
     // (half-open probes restore the policy once its outputs are sane again). Off by
-    // default — the unguarded path is byte-identical to the historical controller.
+    // default.
     bool guard = false;
     // Breaker tuning; min/max_rate_bps inside are overwritten from the options
     // above at construction so the two can never disagree.
@@ -51,9 +55,10 @@ class RlRateController : public CongestionControl {
   // `model` is shared so many flows (and the owning application) can reuse one policy;
   // the simulator drives flows sequentially so no locking is needed.
   RlRateController(std::shared_ptr<ActorCritic> model, Options options);
+  ~RlRateController() override;
 
   CcMode Mode() const override { return CcMode::kRateBased; }
-  std::string Name() const override { return options_.name; }
+  std::string Name() const override { return name_; }
 
   // The per-packet hooks keep the guard's warm-standby fallback scheme fed, so a
   // breaker trip hands the flow to a CUBIC whose window reflects the live path.
@@ -61,39 +66,29 @@ class RlRateController : public CongestionControl {
   void OnAck(const AckInfo& ack) override;
   void OnPacketLost(const LossInfo& loss) override;
   void OnTimeout(double now_s) override;
+  // A malformed report (non-finite or negative fields, see ValidMonitorReport in
+  // src/core/mocc_api.h) is dropped: no history push, no decision.
   void OnMonitorInterval(const MonitorReport& report) override;
   double PacingRateBps() const override { return rate_bps_; }
 
   // Replaces the observation prefix (e.g. when the registered application changes its
-  // requirement at runtime).
+  // requirement at runtime). Same length as Options::observation_prefix.
   void SetObservationPrefix(std::vector<double> prefix);
 
   // Number of policy inferences performed so far (one per monitor interval) — the
   // quantity behind the user-space CPU overhead measurements (Figure 17).
-  int64_t inference_count() const { return inference_count_; }
-
-  // True when per-MI inference runs through the float32 replica.
-  bool float32_active() const { return float32_policy_ != nullptr; }
-
-  const std::vector<double>& last_observation() const { return last_observation_; }
+  int64_t inference_count() const;
 
   // The circuit breaker (null when the guard is disabled) — trip counts and state
   // for simulate/eval reports and tests.
-  const GuardedPolicy* guard() const { return guard_.get(); }
+  const GuardedPolicy* guard() const;
 
  private:
-  // Rate equivalent of the fallback's congestion window over the reported RTT.
-  double FallbackRateBps(const MonitorReport& report) const;
+  struct Connection;  // the one-connection engine and the connection's handle
 
-  std::shared_ptr<ActorCritic> model_;
-  std::unique_ptr<InferencePolicy> float32_policy_;  // null = double path
-  Options options_;
-  MiHistoryTracker history_;
-  double rate_bps_;
-  int64_t inference_count_ = 0;
-  std::vector<double> last_observation_;
-  std::unique_ptr<GuardedPolicy> guard_;           // null = unguarded
-  std::unique_ptr<CongestionControl> fallback_;    // warm-standby CUBIC when guarded
+  std::unique_ptr<Connection> conn_;
+  std::string name_;
+  double rate_bps_;  // the engine's rate after the last decision
 };
 
 }  // namespace mocc

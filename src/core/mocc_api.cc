@@ -1,16 +1,45 @@
 #include "src/core/mocc_api.h"
 
+#include <array>
 #include <cassert>
+#include <cmath>
 #include <utility>
 
 #include "src/serving/serving_engine.h"
 
 namespace mocc {
+namespace {
+
+// A weight vector as the engine's observation prefix, sanitized like every
+// other weight entry point.
+std::array<double, 3> Prefix(const WeightVector& w) {
+  const WeightVector sanitized = w.Sanitized();
+  return {sanitized.thr, sanitized.lat, sanitized.loss};
+}
+
+}  // namespace
+
+bool ValidMonitorReport(const MonitorReport& report) {
+  const double non_negative[] = {report.duration_s,     report.send_rate_bps,
+                                 report.throughput_bps, report.avg_rtt_s,
+                                 report.min_rtt_s,      report.loss_rate,
+                                 report.ecn_rate};
+  for (const double v : non_negative) {
+    if (!std::isfinite(v) || v < 0.0) {
+      return false;
+    }
+  }
+  return std::isfinite(report.start_time_s) && report.packets_sent >= 0 &&
+         report.packets_acked >= 0 && report.packets_lost >= 0 &&
+         report.packets_marked >= 0;
+}
 
 MoccServing::MoccServing(const PolicySpec& spec, const Options& options) {
   std::shared_ptr<PreferenceActorCritic> model = spec.ResolveModel();
   assert(model != nullptr && "use CreateService() to handle resolution failure");
-  engine_ = std::make_unique<ServingEngine>(spec, std::move(model), options);
+  const RlRateController::Options decision =
+      spec.ControllerOptions(model->config(), spec.weights(), spec.initial_rate_bps());
+  engine_ = std::make_unique<ServingEngine>(std::move(model), decision, options);
 }
 
 MoccServing::~MoccServing() = default;
@@ -21,13 +50,13 @@ ServingConnId MoccServing::AttachConnection(const WeightVector& w) {
 
 ServingConnId MoccServing::AttachConnection(const WeightVector& w,
                                             const ConnectionOptions& options) {
-  return engine_->Attach(w, options);
+  return engine_->Attach(Prefix(w).data(), options);
 }
 
 bool MoccServing::DetachConnection(ServingConnId id) { return engine_->Detach(id); }
 
 bool MoccServing::SwitchObjective(ServingConnId id, const WeightVector& w) {
-  return engine_->SwitchObjective(id, w);
+  return engine_->SwitchObjective(id, Prefix(w).data());
 }
 
 void MoccServing::OnFlowStart(ServingConnId id, double now_s) {
@@ -88,44 +117,35 @@ MoccApi::MoccApi(std::shared_ptr<PreferenceActorCritic> model, const Options& op
     : options_(options) {
   assert(model != nullptr);
   assert(model->obs_dim() == options_.config.ObsDim());
-  PolicySpec spec;
-  spec.WithModel(std::move(model))
-      .WithConfig(options_.config)
-      .WithPrecision(Precision::kDouble)
-      .WithInitialRate(options_.initial_rate_bps)
-      .WithRateBounds(options_.min_rate_bps, options_.max_rate_bps);
-  serving_ = std::make_unique<MoccServing>(spec, MoccServing::Options{});
+  controller_ = PolicySpec()
+                    .WithModel(std::move(model))
+                    .WithInitialRate(options_.initial_rate_bps)
+                    .WithRateBounds(options_.min_rate_bps, options_.max_rate_bps)
+                    .MakeController();
 }
 
 MoccApi::~MoccApi() = default;
 
 void MoccApi::Register(const WeightVector& w) {
   weight_ = w.Sanitized();
-  if (!registered_) {
-    MoccServing::ConnectionOptions copts;
-    copts.initial_rate_bps = options_.initial_rate_bps;
-    conn_ = serving_->AttachConnection(weight_, copts);
-    registered_ = true;
-    return;
-  }
-  serving_->SwitchObjective(conn_, weight_);  // history and rate carry over
+  // History and rate carry over a switch.
+  controller_->SetObservationPrefix({weight_.thr, weight_.lat, weight_.loss});
+  registered_ = true;
 }
 
 void MoccApi::ReportStatus(const MonitorReport& status) {
   assert(registered_ && "Register(w) must be called before ReportStatus");
+  if (!ValidMonitorReport(status)) {
+    return;
+  }
   estimator_.Observe(status);
   last_reward_ = DynamicReward(weight_, status, estimator_.CapacityBps(),
                                estimator_.BaseRttS());
-  serving_->SubmitReport(conn_, status);
-  serving_->RatePoll();
+  controller_->OnMonitorInterval(status);
 }
 
-double MoccApi::GetSendingRate() const {
-  return registered_ ? serving_->RateBps(conn_) : options_.initial_rate_bps;
-}
+double MoccApi::GetSendingRate() const { return controller_->PacingRateBps(); }
 
-int64_t MoccApi::inference_count() const {
-  return registered_ ? serving_->DecisionCount(conn_) : 0;
-}
+int64_t MoccApi::inference_count() const { return controller_->inference_count(); }
 
 }  // namespace mocc

@@ -19,9 +19,10 @@
 // (src/serving/serving_engine.h) instead of N single-row calls.
 //
 // Single connection — MoccApi: the paper's three-function facade
-// (Register / ReportStatus / GetSendingRate), now a thin veneer over a private
-// one-connection MoccServing so embedders that start with the paper API are
-// already on the serving path when they scale out.
+// (Register / ReportStatus / GetSendingRate), a thin veneer over one
+// RlRateController (src/baselines/rl_cc.h), which is itself a one-connection
+// serving engine: embedders that start with the paper API decide exactly as
+// they would on a MoccServing when they scale out.
 #ifndef MOCC_SRC_CORE_MOCC_API_H_
 #define MOCC_SRC_CORE_MOCC_API_H_
 
@@ -40,6 +41,14 @@
 namespace mocc {
 
 class ServingEngine;
+
+// The ingestion rule for monitor reports, applied to every report before it
+// touches a connection's history: every field finite, and no negative count,
+// duration, rate or RTT. A NaN average RTT (an embedder computing
+// rtt_sum / acked on an MI without ACKs) would otherwise pin the connection's
+// running min RTT to NaN for its lifetime. Zero-duration reports pass — the
+// latency-gradient term already ignores them.
+bool ValidMonitorReport(const MonitorReport& report);
 
 // Handle to one attached connection. Stale handles (detached, or a recycled slot)
 // are rejected by every MoccServing call — the slot's generation must match.
@@ -83,7 +92,8 @@ class MoccServing {
     // [2^i, 2^(i+1)).
     std::array<int64_t, 16> batch_size_log2_hist{};
     // PostReport ring traffic: entries drained and ingested, and entries
-    // dropped at drain time (stale handle, self-timed, duplicate pending).
+    // dropped at drain time (stale handle, self-timed, duplicate pending,
+    // malformed).
     int64_t ring_reports = 0;
     int64_t ring_dropped = 0;
   };
@@ -114,9 +124,10 @@ class MoccServing {
   void OnTimeout(ServingConnId id, double now_s);
 
   // Queues one monitor interval's statistics for an externally clocked
-  // connection (at most one per RatePoll; self-timed connections reject it).
-  // The decision happens at the next RatePoll. Consumer thread only — this is
-  // the single-producer form of PostReport, validated synchronously.
+  // connection (at most one per RatePoll; self-timed connections and malformed
+  // reports are rejected). The decision happens at the next RatePoll. Consumer
+  // thread only — this is the single-producer form of PostReport, validated
+  // synchronously.
   bool SubmitReport(ServingConnId id, const MonitorReport& report);
 
   // Thread-safe report submission: enqueues through a lock-free bounded MPSC
@@ -124,11 +135,12 @@ class MoccServing {
   // concurrently with each other (all other MoccServing calls stay on the one
   // consumer thread). Validation is deferred to the next RatePoll, which
   // drains the ring on the consumer thread: stale handles, self-timed
-  // connections and duplicate pending reports are dropped there (counted in
-  // stats().ring_dropped), exactly the submissions SubmitReport rejects
-  // synchronously. Returns false only when the ring is full — backpressure;
-  // the caller may retry after the consumer's next poll, or drop the report
-  // (monitor intervals are periodic, the next one carries fresher data).
+  // connections, duplicate pending reports and malformed reports are dropped
+  // there (counted in stats().ring_dropped), exactly the submissions
+  // SubmitReport rejects synchronously. Returns false only when the ring is
+  // full — backpressure; the caller may retry after the consumer's next poll,
+  // or drop the report (monitor intervals are periodic, the next one carries
+  // fresher data).
   // Decisions are bit-identical to the same reports fed through SubmitReport:
   // each connection has one producer, so its report order is preserved, and
   // per-connection decisions are independent of batch composition.
@@ -138,7 +150,8 @@ class MoccServing {
   // of decisions made.
   size_t RatePoll();
   // Advances the service clock to `now_s` first: self-timed connections whose
-  // intervals expired synthesize their reports and join the batch.
+  // intervals expired synthesize their reports and join the batch (a malformed
+  // synthesized report — a NaN ACK RTT, say — skips that interval).
   size_t RatePoll(double now_s);
 
   // Sending rate (bits/second) for the next interval; 0 for stale handles.
@@ -168,8 +181,7 @@ std::unique_ptr<MoccServing> CreateService(const PolicySpec& spec,
 
 // The paper's single-connection facade: Register(w) / ReportStatus(s_t) /
 // GetSendingRate(). Runs pure double-precision inference on the shared model
-// plus the §4.1 online estimators, exactly as before the serving layer existed —
-// internally it is connection 0 of a private MoccServing.
+// through one RlRateController, plus the §4.1 online estimators.
 class MoccApi {
  public:
   struct Options {
@@ -193,6 +205,8 @@ class MoccApi {
   void Register(const WeightVector& w);
 
   // Reports the latest network status; MOCC updates its rate decision (Eq. 1).
+  // A malformed status (ValidMonitorReport) is ignored: no decision, and the
+  // estimators and LastReward stay as they were.
   void ReportStatus(const MonitorReport& status);
 
   // Sending rate (bits/second) for the next time interval.
@@ -215,8 +229,7 @@ class MoccApi {
   bool registered_ = false;
   OnlineLinkEstimator estimator_;
   double last_reward_ = 0.0;
-  std::unique_ptr<MoccServing> serving_;
-  ServingConnId conn_;
+  std::unique_ptr<RlRateController> controller_;
 };
 
 }  // namespace mocc

@@ -116,20 +116,17 @@ std::unique_ptr<RlRateController> PolicySpec::MakeController() const {
   return MakeController(weights_, initial_rate_bps_);
 }
 
-std::unique_ptr<RlRateController> PolicySpec::MakeController(
-    const WeightVector& w, double initial_rate_bps) const {
-  std::shared_ptr<PreferenceActorCritic> model = ResolveModel();
-  if (model == nullptr) {
-    return nullptr;
-  }
+RlRateController::Options PolicySpec::ControllerOptions(const MoccConfig& config,
+                                                        const WeightVector& w,
+                                                        double initial_rate_bps) const {
   const WeightVector sanitized = w.Sanitized();
   RlRateController::Options options;
-  options.history_len = model->config().history_len_eta;
-  options.action_scale = model->config().action_scale_alpha;
-  // The controller's history width follows the model, not the caller: LoadFromFile
-  // detects the checkpoint's ECN-observation layout, so a deployed ECN-aware model
+  options.history_len = config.history_len_eta;
+  options.action_scale = config.action_scale_alpha;
+  // The history width follows the model, not the caller: LoadFromFile detects
+  // the checkpoint's ECN-observation layout, so a deployed ECN-aware model
   // automatically gets the 4-wide entries it was trained on.
-  options.include_ecn = model->config().ecn_signal;
+  options.include_ecn = config.ecn_signal;
   options.initial_rate_bps = initial_rate_bps;
   options.min_rate_bps = min_rate_bps_;
   options.max_rate_bps = max_rate_bps_;
@@ -138,6 +135,17 @@ std::unique_ptr<RlRateController> PolicySpec::MakeController(
   options.precision = precision_;
   options.guard = guard_;
   options.guard_options = guard_options_;
+  return options;
+}
+
+std::unique_ptr<RlRateController> PolicySpec::MakeController(
+    const WeightVector& w, double initial_rate_bps) const {
+  std::shared_ptr<PreferenceActorCritic> model = ResolveModel();
+  if (model == nullptr) {
+    return nullptr;
+  }
+  RlRateController::Options options =
+      ControllerOptions(model->config(), w, initial_rate_bps);
   return std::make_unique<RlRateController>(std::move(model), std::move(options));
 }
 

@@ -1,12 +1,11 @@
 // PolicySpec: the one way to describe a deployable MOCC policy.
 //
-// Before this existed, every embedder re-plumbed the same four knobs — model (or
-// checkpoint path), precision, guard, weights — through its own hand-rolled option
-// struct into MakeMoccCc / RlRateController::Options / MakeFloat32Policy /
-// GuardedPolicy wiring. PolicySpec collapses that into a single builder that all
-// consumers share: the CLI tools (`mocc_simulate`, `mocc_eval`, `bench_report`),
-// the serving layer (`CreateService`, src/core/mocc_api.h) and `MakeMoccCc`
-// itself (now a thin wrapper kept for source compatibility).
+// Model (or checkpoint path), precision, guard, weights and rate bounds in a single
+// builder that all consumers share: the CLI tools (`mocc_simulate`, `mocc_eval`,
+// `bench_report`), the benches, examples and tests, and the serving layer
+// (`CreateService`, src/core/mocc_api.h). One spec→parameters mapping
+// (ControllerOptions) feeds both a single flow's controller and a service, and both
+// decide on the same serving engine.
 //
 //   PolicySpec spec;
 //   spec.WithCheckpoint("model.bin").WithPrecision(Precision::kFloat32).WithGuard(true);
@@ -69,9 +68,15 @@ class PolicySpec {
   // after an stderr diagnostic — when neither is available or the load fails.
   std::shared_ptr<PreferenceActorCritic> ResolveModel() const;
 
-  // Builds a single-flow controller (the MakeMoccCc shape: history length and
-  // action scale from the model config, weight prefix from `w`). Returns nullptr
-  // when the model cannot be resolved.
+  // The decision parameters for `model`'s config: history length, action scale and
+  // ECN width from the config, weight prefix from `w` (sanitized), initial rate,
+  // rate bounds, precision, guard and name from the spec.
+  RlRateController::Options ControllerOptions(const MoccConfig& config,
+                                              const WeightVector& w,
+                                              double initial_rate_bps) const;
+
+  // Builds a single-flow controller over ControllerOptions. Returns nullptr when
+  // the model cannot be resolved.
   std::unique_ptr<RlRateController> MakeController(const WeightVector& w) const;
   std::unique_ptr<RlRateController> MakeController(const WeightVector& w,
                                                    double initial_rate_bps) const;

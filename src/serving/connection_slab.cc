@@ -2,20 +2,16 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "src/baselines/cubic.h"
-#include "src/envs/mi_history.h"
 
 namespace mocc {
 
-ConnectionSlab::ConnectionSlab(size_t weight_dim, size_t history_len, bool guarded,
-                               const GuardedPolicy::Options& guard_options,
-                               bool include_ecn)
+ConnectionSlab::ConnectionSlab(size_t weight_dim, size_t history_len, bool include_ecn,
+                               bool guarded, const GuardedPolicy::Options& guard_options)
     : weight_dim_(weight_dim),
-      history_len_(history_len),
-      entry_width_(include_ecn ? 4 : 3),
-      obs_dim_(weight_dim + entry_width_ * history_len),
+      history_(history_len, include_ecn),
+      obs_dim_(weight_dim + history_.row_dim()),
       guarded_(guarded),
       guard_options_(guard_options) {}
 
@@ -23,8 +19,7 @@ void ConnectionSlab::GrowTo(size_t capacity) {
   obs.resize(capacity * obs_dim_, 0.0);
   rate_bps.resize(capacity, 0.0);
   prefix_id.resize(capacity, -1);
-  prev_avg_rtt_s.resize(capacity, 0.0);
-  min_rtt_hist_s.resize(capacity, 0.0);
+  history_rtt.resize(capacity);
   last_avg_rtt_s.resize(capacity, 0.0);
   last_min_rtt_s.resize(capacity, 0.0);
   decision_count.resize(capacity, 0);
@@ -56,19 +51,10 @@ int32_t ConnectionSlab::Attach(const double* weights, double initial_rate_bps) {
   }
   double* row = ObsRow(slot);
   std::copy(weights, weights + weight_dim_, row);
-  // Neutral history <1,1,0[,0]> — what AppendObservation pads with before η
-  // intervals have been observed.
-  for (size_t i = 0; i < history_len_; ++i) {
-    row[weight_dim_ + entry_width_ * i + 0] = 1.0;
-    row[weight_dim_ + entry_width_ * i + 1] = 1.0;
-    for (size_t c = 2; c < entry_width_; ++c) {
-      row[weight_dim_ + entry_width_ * i + c] = 0.0;
-    }
-  }
+  history_.FillNeutral(row + weight_dim_);
   rate_bps[slot] = initial_rate_bps;
   prefix_id[slot] = -1;  // the engine interns the prefix right after Attach
-  prev_avg_rtt_s[slot] = 0.0;
-  min_rtt_hist_s[slot] = 0.0;
+  history_rtt[slot] = MiHistoryTracker::RttState{};
   last_avg_rtt_s[slot] = 0.0;
   last_min_rtt_s[slot] = 0.0;
   decision_count[slot] = 0;
@@ -106,44 +92,7 @@ void ConnectionSlab::SetWeightPrefix(int32_t slot, const double* weights) {
 }
 
 void ConnectionSlab::ApplyReport(int32_t slot, const MonitorReport& report) {
-  // MiHistoryTracker::Push, operating on the slab's in-place fixed-length row.
-  const double acked =
-      static_cast<double>(std::max<int64_t>(1, report.packets_acked));
-  const double sent = static_cast<double>(report.packets_sent);
-  const double send_ratio =
-      std::clamp(sent / acked, 0.0, MiHistoryTracker::kMaxSendRatio);
-
-  if (min_rtt_hist_s[slot] <= 0.0 ||
-      (report.avg_rtt_s > 0.0 && report.avg_rtt_s < min_rtt_hist_s[slot])) {
-    min_rtt_hist_s[slot] = report.avg_rtt_s;
-  }
-  const double latency_ratio =
-      min_rtt_hist_s[slot] > 0.0 && report.avg_rtt_s > 0.0
-          ? std::clamp(report.avg_rtt_s / min_rtt_hist_s[slot], 1.0,
-                       MiHistoryTracker::kMaxLatencyRatio)
-          : 1.0;
-
-  double gradient = 0.0;
-  if (prev_avg_rtt_s[slot] > 0.0 && report.duration_s > 0.0 && report.avg_rtt_s > 0.0) {
-    gradient = std::clamp((report.avg_rtt_s - prev_avg_rtt_s[slot]) / report.duration_s,
-                          -MiHistoryTracker::kMaxLatencyGradient,
-                          MiHistoryTracker::kMaxLatencyGradient);
-  }
-  if (report.avg_rtt_s > 0.0) {
-    prev_avg_rtt_s[slot] = report.avg_rtt_s;
-  }
-
-  double* hist = ObsRow(slot) + weight_dim_;
-  std::memmove(hist, hist + entry_width_,
-               (entry_width_ * history_len_ - entry_width_) * sizeof(double));
-  double* newest = hist + entry_width_ * (history_len_ - 1);
-  newest[0] = send_ratio;
-  newest[1] = latency_ratio;
-  newest[2] = gradient;
-  if (entry_width_ == 4) {
-    newest[3] = std::clamp(report.ecn_rate, 0.0, 1.0);
-  }
-
+  history_.Push(report, ObsRow(slot) + weight_dim_, &history_rtt[slot]);
   last_avg_rtt_s[slot] = report.avg_rtt_s;
   last_min_rtt_s[slot] = report.min_rtt_s;
 }

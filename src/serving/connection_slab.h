@@ -5,14 +5,12 @@
 // objects, and every non-obs field a decision touches (rate, RTT state,
 // counters) lives in its own contiguous run.
 //
-// Observation rows replicate the RlRateController layout exactly:
-//   [w_thr, w_lat, w_loss | g(t-η+1) ... g(t)]   (3 + 3η doubles; 3 + 4η with
+// Observation rows are the policy input, weight prefix then history:
+//   [w | g(t-η+1) ... g(t)]   (weight_dim + 3η doubles; weight_dim + 4η with
 //   the ECN-mark component for ECN-aware models)
-// with the history maintained in place — shift left by one entry, append the
-// newest <send ratio, latency ratio, latency gradient[, ecn rate]> entry —
-// which is value-for-value identical to MiHistoryTracker::Push +
-// AppendObservation (neutral <1,1,0[,0]> padding at the front while fewer than
-// η intervals have been seen).
+// where w is MOCC's weight vector (weight_dim 3) or empty for Aurora-shaped
+// models (weight_dim 0), and the history suffix is a MiHistoryTracker row kept
+// in place by MiHistoryTracker::Push.
 //
 // Slots are recycled through a free list; every detach bumps the slot's
 // generation so stale ServingConnId handles (and stale deadline-wheel entries)
@@ -24,6 +22,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/envs/mi_history.h"
 #include "src/netsim/cc_interface.h"
 #include "src/rl/guarded_policy.h"
 
@@ -32,12 +31,11 @@ namespace mocc {
 class ConnectionSlab {
  public:
   // `obs_dim` = weight_dim + (include_ecn ? 4 : 3) * history_len; include_ecn
-  // must match the served model's MoccConfig::ecn_signal. When `guarded`, every
+  // must match the served model's ECN-observation layout. When `guarded`, every
   // attach provisions a GuardedPolicy (from `guard_options`) and a warm-standby
   // CUBIC fallback for the slot.
-  ConnectionSlab(size_t weight_dim, size_t history_len, bool guarded,
-                 const GuardedPolicy::Options& guard_options,
-                 bool include_ecn = false);
+  ConnectionSlab(size_t weight_dim, size_t history_len, bool include_ecn, bool guarded,
+                 const GuardedPolicy::Options& guard_options);
 
   // Claims a slot (free list first, then growth), initializes its observation row
   // (weight prefix + neutral history), rate and MI state, and returns the slot
@@ -50,9 +48,8 @@ class ConnectionSlab {
   // Overwrites the observation prefix (objective switch; history untouched).
   void SetWeightPrefix(int32_t slot, const double* weights);
 
-  // Ingests one monitor interval: updates the RTT trackers, shifts the history
-  // left and appends the new triple — MiHistoryTracker::Push, slab edition —
-  // and records the report's RTT fields for fallback-rate computation.
+  // Ingests one monitor interval: MiHistoryTracker::Push on the slot's row, and
+  // records the report's RTT fields for fallback-rate computation.
   void ApplyReport(int32_t slot, const MonitorReport& report);
 
   double* ObsRow(int32_t slot) { return obs.data() + static_cast<size_t>(slot) * obs_dim_; }
@@ -78,8 +75,7 @@ class ConnectionSlab {
   // on attach and objective switch. Lets the decision batch group equal prefixes
   // with an O(n) counting pass instead of a comparison sort over double triples.
   std::vector<int32_t> prefix_id;
-  std::vector<double> prev_avg_rtt_s;  // MiHistoryTracker: last nonzero avg RTT
-  std::vector<double> min_rtt_hist_s;  // MiHistoryTracker: running min of avg RTTs
+  std::vector<MiHistoryTracker::RttState> history_rtt;
   std::vector<double> last_avg_rtt_s;  // most recent report, for FallbackRate
   std::vector<double> last_min_rtt_s;
   std::vector<int64_t> decision_count;
@@ -104,8 +100,7 @@ class ConnectionSlab {
   void GrowTo(size_t capacity);
 
   size_t weight_dim_;
-  size_t history_len_;
-  size_t entry_width_;  // 3, or 4 with the ECN-mark component
+  MiHistoryTracker history_;  // the row layout and the push
   size_t obs_dim_;
   bool guarded_;
   GuardedPolicy::Options guard_options_;

@@ -9,39 +9,33 @@
 
 namespace mocc {
 
-ServingEngine::ServingEngine(const PolicySpec& spec,
-                             std::shared_ptr<PreferenceActorCritic> model,
+ServingEngine::ServingEngine(std::shared_ptr<ActorCritic> model,
+                             const RlRateController::Options& decision,
                              const MoccServing::Options& options)
     : model_(std::move(model)),
-      guarded_(spec.guard()),
-      action_scale_(0.0),
-      min_rate_bps_(spec.min_rate_bps()),
-      max_rate_bps_(spec.max_rate_bps()),
-      history_len_(0),
-      obs_dim_(0),
+      guarded_(decision.guard),
+      action_scale_(decision.action_scale),
+      min_rate_bps_(decision.min_rate_bps),
+      max_rate_bps_(decision.max_rate_bps),
       tick_s_(options.tick_s),
-      slab_(PreferenceActorCritic::kWeightDim, model_->config().history_len_eta,
-            spec.guard(),
-            [&spec] {
-              // As in RlRateController: the breaker's rate bounds can never
-              // disagree with the controller's.
-              GuardedPolicy::Options guard_options = spec.guard_options();
-              guard_options.min_rate_bps = spec.min_rate_bps();
-              guard_options.max_rate_bps = spec.max_rate_bps();
+      slab_(decision.observation_prefix.size(), decision.history_len, decision.include_ecn,
+            decision.guard,
+            [&decision] {
+              // The breaker's rate bounds can never disagree with the engine's.
+              GuardedPolicy::Options guard_options = decision.guard_options;
+              guard_options.min_rate_bps = decision.min_rate_bps;
+              guard_options.max_rate_bps = decision.max_rate_bps;
               return guard_options;
-            }(),
-            model_->config().ecn_signal),
+            }()),
       wheel_(options.wheel_slots),
       ring_(options.report_ring_capacity) {
   assert(model_ != nullptr);
   assert(tick_s_ > 0.0);
-  action_scale_ = model_->config().action_scale_alpha;
-  history_len_ = model_->config().history_len_eta;
   obs_dim_ = slab_.obs_dim();
   assert(model_->obs_dim() == obs_dim_);
-  if (spec.precision() == Precision::kFloat32) {
+  if (decision.precision == Precision::kFloat32) {
     policy_ = model_->MakeFloat32Policy();
-  } else if (spec.precision() == Precision::kInt8) {
+  } else if (decision.precision == Precision::kInt8) {
     policy_ = model_->MakeInt8Policy();
   }
 }
@@ -51,13 +45,10 @@ uint64_t ServingEngine::TickFor(double now_s) const {
   return static_cast<uint64_t>(now_s / tick_s_ + 0.5);
 }
 
-ServingConnId ServingEngine::Attach(const WeightVector& w,
+ServingConnId ServingEngine::Attach(const double* prefix,
                                     const MoccServing::ConnectionOptions& options) {
-  const WeightVector sanitized = w.Sanitized();
-  const double weights[PreferenceActorCritic::kWeightDim] = {sanitized.thr, sanitized.lat,
-                                                             sanitized.loss};
-  const int32_t slot = slab_.Attach(weights, options.initial_rate_bps);
-  slab_.prefix_id[slot] = InternPrefix(weights);
+  const int32_t slot = slab_.Attach(prefix, options.initial_rate_bps);
+  slab_.prefix_id[slot] = InternPrefix(prefix);
   if (options.mi_duration_s > 0.0) {
     slab_.self_timed[slot] = 1;
     slab_.mi_ticks[slot] = static_cast<uint32_t>(
@@ -80,28 +71,24 @@ bool ServingEngine::Detach(ServingConnId id) {
   return true;
 }
 
-bool ServingEngine::SwitchObjective(ServingConnId id, const WeightVector& w) {
+bool ServingEngine::SwitchObjective(ServingConnId id, const double* prefix) {
   if (!slab_.Live(id.slot, id.generation)) {
     return false;
   }
-  const WeightVector sanitized = w.Sanitized();
-  const double weights[PreferenceActorCritic::kWeightDim] = {sanitized.thr, sanitized.lat,
-                                                             sanitized.loss};
-  slab_.SetWeightPrefix(id.slot, weights);
-  slab_.prefix_id[id.slot] = InternPrefix(weights);
+  slab_.SetWeightPrefix(id.slot, prefix);
+  slab_.prefix_id[id.slot] = InternPrefix(prefix);
   return true;
 }
 
 int32_t ServingEngine::InternPrefix(const double* w) {
   const size_t weight_dim = slab_.weight_dim();
-  const size_t known = prefix_registry_.size() / weight_dim;
-  for (size_t g = 0; g < known; ++g) {
+  for (size_t g = 0; g < prefix_count_; ++g) {
     if (std::equal(w, w + weight_dim, prefix_registry_.data() + g * weight_dim)) {
       return static_cast<int32_t>(g);
     }
   }
   prefix_registry_.insert(prefix_registry_.end(), w, w + weight_dim);
-  return static_cast<int32_t>(known);
+  return static_cast<int32_t>(prefix_count_++);
 }
 
 void ServingEngine::OnFlowStart(ServingConnId id, double now_s) {
@@ -156,8 +143,8 @@ void ServingEngine::OnTimeout(ServingConnId id, double now_s) {
 }
 
 void ServingEngine::IngestReport(int32_t slot, const MonitorReport& report) {
-  // Order mirrors RlRateController::OnMonitorInterval: fallback feed first, then
-  // the history push; the guard's BeginInterval gate runs in DecideBatch.
+  // Fallback feed first, then the history push; the guard's BeginInterval gate
+  // runs in DecideBatch.
   if (guarded_) {
     slab_.fallbacks[slot]->OnMonitorInterval(report);
   }
@@ -172,7 +159,8 @@ bool ServingEngine::SubmitReport(ServingConnId id, const MonitorReport& report) 
   if (!slab_.Live(id.slot, id.generation)) {
     return false;
   }
-  if (slab_.self_timed[id.slot] != 0 || slab_.report_pending[id.slot] != 0) {
+  if (slab_.self_timed[id.slot] != 0 || slab_.report_pending[id.slot] != 0 ||
+      !ValidMonitorReport(report)) {
     return false;
   }
   IngestReport(id.slot, report);
@@ -181,9 +169,12 @@ bool ServingEngine::SubmitReport(ServingConnId id, const MonitorReport& report) 
 
 bool ServingEngine::PostReport(ServingConnId id, const MonitorReport& report) {
   // Producer side: no slab access — the handle may already be stale, and racing
-  // a validation here against the consumer would be meaningless anyway. All
-  // checks run at drain time on the consumer thread.
-  return ring_.TryPush(id, report);
+  // a validation here against the consumer would be meaningless anyway. Only
+  // the report itself is checked here, off the consumer's drain loop (which is
+  // memory-bound: extra work per entry there shows in the poll's tail
+  // latency). A malformed report travels under a null handle, which the drain
+  // drops and counts like a stale one.
+  return ring_.TryPush(ValidMonitorReport(report) ? id : ServingConnId{}, report);
 }
 
 size_t ServingEngine::DrainReportRing() {
@@ -193,8 +184,9 @@ size_t ServingEngine::DrainReportRing() {
     const int32_t slot = entry.id.slot;
     if (!slab_.Live(slot, entry.id.generation) || slab_.self_timed[slot] != 0 ||
         slab_.report_pending[slot] != 0) {
-      // Detached/recycled since the post, service-clocked, or a second report
-      // before the poll — the same rejections SubmitReport makes synchronously.
+      // Detached/recycled since the post, service-clocked, a second report
+      // before the poll, or malformed (posted under a null handle) — the same
+      // rejections SubmitReport makes synchronously.
       ++stats_.ring_dropped;
       continue;
     }
@@ -206,7 +198,8 @@ size_t ServingEngine::DrainReportRing() {
 }
 
 double ServingEngine::FallbackRate(int32_t slot) const {
-  // RlRateController::FallbackRateBps over the slab's recorded report RTTs.
+  // CUBIC's window as a pacing rate over the freshest RTT the last report
+  // carried (the 1 ms floor covers MIs that saw no ACKs at all).
   const double rtt_s =
       std::max({slab_.last_avg_rtt_s[slot], slab_.last_min_rtt_s[slot], 1e-3});
   const double rate = slab_.fallbacks[slot]->CwndPackets() *
@@ -240,13 +233,12 @@ size_t ServingEngine::DecideBatch() {
   // PN features depend only on the prefix, so results are order-independent.
   // The grouping is a counting pass over the interned prefix ids — O(n + G)
   // integer work, instead of an O(n log n) sort comparing double triples.
-  const size_t known = prefix_registry_.size() / slab_.weight_dim();
-  prefix_counts_.assign(known, 0);
+  prefix_counts_.assign(prefix_count_, 0);
   for (const int32_t slot : infer_slots_) {
     ++prefix_counts_[slab_.prefix_id[slot]];
   }
   int32_t offset = 0;
-  for (size_t g = 0; g < known; ++g) {
+  for (size_t g = 0; g < prefix_count_; ++g) {
     const int32_t count = prefix_counts_[g];
     prefix_counts_[g] = offset;
     offset += count;
@@ -264,8 +256,8 @@ size_t ServingEngine::DecideBatch() {
     const int32_t* slots = sorted_slots_.data() + base;
     if (policy_ != nullptr) {
       // One batched float32 forward over rows narrowed straight out of the slab
-      // — the same static_cast per element the per-flow path applies in
-      // NarrowObs.
+      // — the same static_cast per element InferencePolicy::ActionMean applies
+      // in NarrowObs.
       batch_obs_f32_.resize(chunk * obs_dim_);
       means_f32_.resize(chunk);
       for (size_t i = 0; i < chunk; ++i) {
@@ -343,7 +335,10 @@ size_t ServingEngine::PollAt(double now_s) {
                            ? static_cast<double>(slab_.mi_lost[slot]) /
                                  static_cast<double>(acked_lost)
                            : 0.0;
-    IngestReport(slot, report);
+    // A malformed synthesized report (a NaN ACK RTT, say) skips this MI.
+    if (ValidMonitorReport(report)) {
+      IngestReport(slot, report);
+    }
     slab_.mi_sent[slot] = 0;
     slab_.mi_acked[slot] = 0;
     slab_.mi_lost[slot] = 0;

@@ -2,6 +2,7 @@
 // per-scheme control-law behaviour, and an integration sweep verifying every scheme
 // achieves reasonable utilization on a clean link in the packet simulator.
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "src/baselines/utility_functions.h"
 #include "src/baselines/vegas.h"
 #include "src/baselines/vivace.h"
+#include "src/envs/mi_history.h"
 #include "src/netsim/packet_network.h"
 
 namespace mocc {
@@ -362,6 +364,18 @@ TEST(VivaceTest, BacksOffOnLossGradient) {
 
 // --- RL adapter / Aurora / Orca ------------------------------------------------------
 
+// The observation the controller should decide on: `prefix` then the
+// g⃗(t,η) history of `reports`, built by a fresh MiHistoryTracker.
+std::vector<double> ExpectedObservation(std::vector<double> prefix, size_t history_len,
+                                        const std::vector<MonitorReport>& reports) {
+  MiHistoryTracker history(history_len);
+  for (const MonitorReport& r : reports) {
+    history.Push(r);
+  }
+  history.AppendObservation(&prefix);
+  return prefix;
+}
+
 TEST(RlCcTest, AdapterAppliesEq1WithPolicyMean) {
   Rng rng(3);
   auto model = std::make_shared<MlpActorCritic>(AuroraObsDim(4), &rng);
@@ -370,10 +384,11 @@ TEST(RlCcTest, AdapterAppliesEq1WithPolicyMean) {
   options.initial_rate_bps = 2e6;
   RlRateController cc(model, options);
   const double before = cc.PacingRateBps();
-  cc.OnMonitorInterval(MakeMi(2e6, 0.04, 0.0));
+  const MonitorReport mi = MakeMi(2e6, 0.04, 0.0);
+  cc.OnMonitorInterval(mi);
   EXPECT_EQ(cc.inference_count(), 1);
-  const double expected =
-      CcEnv::ApplyRateAction(before, model->ActionMean(cc.last_observation()), 0.025);
+  const double expected = CcEnv::ApplyRateAction(
+      before, model->ActionMean(ExpectedObservation({}, 4, {mi})), 0.025);
   EXPECT_NEAR(cc.PacingRateBps(), expected, 1.0);
 }
 
@@ -384,11 +399,21 @@ TEST(RlCcTest, PrefixChangesObservation) {
   options.history_len = 4;
   options.observation_prefix = {0.8, 0.1, 0.1};
   RlRateController cc(model, options);
-  cc.OnMonitorInterval(MakeMi(2e6, 0.04, 0.0));
-  EXPECT_DOUBLE_EQ(cc.last_observation()[0], 0.8);
+  const MonitorReport first = MakeMi(2e6, 0.04, 0.0);
+  const MonitorReport second = MakeMi(2e6, 0.05, 0.0);
+  cc.OnMonitorInterval(first);
+  const double after_first = cc.PacingRateBps();
+  EXPECT_NEAR(after_first,
+              CcEnv::ApplyRateAction(
+                  2e6, model->ActionMean(ExpectedObservation({0.8, 0.1, 0.1}, 4, {first})),
+                  0.025),
+              1.0);
+  // The switch replaces the prefix; the history carries over.
   cc.SetObservationPrefix({0.1, 0.8, 0.1});
-  cc.OnMonitorInterval(MakeMi(2e6, 0.04, 0.0));
-  EXPECT_DOUBLE_EQ(cc.last_observation()[0], 0.1);
+  cc.OnMonitorInterval(second);
+  const std::vector<double> obs = ExpectedObservation({0.1, 0.8, 0.1}, 4, {first, second});
+  EXPECT_NEAR(cc.PacingRateBps(),
+              CcEnv::ApplyRateAction(after_first, model->ActionMean(obs), 0.025), 1.0);
 }
 
 TEST(AuroraTest, TrainProducesWorkingModelAndCurve) {

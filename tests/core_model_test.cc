@@ -11,8 +11,8 @@
 
 #include "src/core/datapath.h"
 #include "src/core/mocc_api.h"
-#include "src/core/mocc_cc.h"
 #include "src/core/model_zoo.h"
+#include "src/core/policy_spec.h"
 #include "src/core/preference_model.h"
 
 namespace mocc {
@@ -331,8 +331,10 @@ TEST(MoccApiTest, ReRegisterSwitchesObjectiveOnTheFly) {
 TEST(MoccCcTest, AdapterUsesWeightPrefix) {
   const MoccConfig config = SmallConfig();
   auto model = FreshModel(config, 15);
-  auto cc_thr = MakeMoccCc(model, ThroughputObjective(), "MOCC-T");
-  auto cc_lat = MakeMoccCc(model, LatencyObjective(), "MOCC-L");
+  auto cc_thr = PolicySpec().WithModel(model).WithName("MOCC-T").MakeController(
+      ThroughputObjective());
+  auto cc_lat = PolicySpec().WithModel(model).WithName("MOCC-L").MakeController(
+      LatencyObjective());
   EXPECT_EQ(cc_thr->Name(), "MOCC-T");
   EXPECT_EQ(cc_thr->Mode(), CcMode::kRateBased);
   // Same report stream, different weights -> (generally) different rates.

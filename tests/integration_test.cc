@@ -1,5 +1,5 @@
 // End-to-end integration tests: a (small-budget) offline-trained MOCC model deployed
-// through MakeMoccCc into the packet-level simulator, exercising the full
+// through PolicySpec::MakeController into the packet-level simulator, exercising the full
 // train -> serialize -> deploy -> simulate pipeline and the paper's headline behaviours
 // at reduced scale.
 #include <algorithm>
@@ -9,9 +9,9 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/mocc_cc.h"
 #include "src/core/offline_trainer.h"
 #include "src/core/online_adapter.h"
+#include "src/core/policy_spec.h"
 #include "src/envs/multi_flow_cc_env.h"
 #include "src/netsim/packet_network.h"
 
@@ -43,7 +43,7 @@ class MoccIntegrationTest : public ::testing::Test {
   static RunResult RunOnLink(const WeightVector& w, const LinkParams& link,
                              double duration_s, uint64_t seed) {
     PacketNetwork net(link, seed);
-    const int flow = net.AddFlow(MakeMoccCc(model_, w));
+    const int flow = net.AddFlow(PolicySpec().WithModel(model_).MakeController(w));
     net.Run(duration_s);
     RunResult result;
     const FlowRecord& rec = net.record(flow);
@@ -106,7 +106,7 @@ TEST_F(MoccIntegrationTest, SerializationPreservesDeployedBehaviour) {
 
   auto run = [&](std::shared_ptr<PreferenceActorCritic> m) {
     PacketNetwork net(link, 23);
-    const int flow = net.AddFlow(MakeMoccCc(m, BalancedObjective()));
+    const int flow = net.AddFlow(PolicySpec().WithModel(m).MakeController(BalancedObjective()));
     net.Run(15.0);
     return net.record(flow).total_acked;
   };
@@ -119,8 +119,10 @@ TEST_F(MoccIntegrationTest, TwoMoccFlowsWithSameWeightShareFairly) {
   link.one_way_delay_s = 0.02;
   link.queue_capacity_pkts = static_cast<int>(link.BdpPackets());
   PacketNetwork net(link, 29);
-  const int f1 = net.AddFlow(MakeMoccCc(model_, ThroughputObjective(), "MOCC-1"));
-  const int f2 = net.AddFlow(MakeMoccCc(model_, ThroughputObjective(), "MOCC-2"));
+  const int f1 = net.AddFlow(
+      PolicySpec().WithModel(model_).WithName("MOCC-1").MakeController(ThroughputObjective()));
+  const int f2 = net.AddFlow(
+      PolicySpec().WithModel(model_).WithName("MOCC-2").MakeController(ThroughputObjective()));
   net.Run(60.0);
   const double t1 = net.record(f1).AvgThroughputBps(30.0, 60.0);
   const double t2 = net.record(f2).AvgThroughputBps(30.0, 60.0);
@@ -222,8 +224,10 @@ TEST_F(MoccIntegrationTest, HigherThroughputWeightGrabsMoreBandwidth) {
   link.one_way_delay_s = 0.02;
   link.queue_capacity_pkts = static_cast<int>(link.BdpPackets());
   PacketNetwork net(link, 31);
-  const int aggressive = net.AddFlow(MakeMoccCc(model_, ThroughputObjective()));
-  const int polite = net.AddFlow(MakeMoccCc(model_, LatencyObjective()));
+  const int aggressive =
+      net.AddFlow(PolicySpec().WithModel(model_).MakeController(ThroughputObjective()));
+  const int polite =
+      net.AddFlow(PolicySpec().WithModel(model_).MakeController(LatencyObjective()));
   net.Run(60.0);
   const double ta = net.record(aggressive).AvgThroughputBps(30.0, 60.0);
   const double tp = net.record(polite).AvgThroughputBps(30.0, 60.0);

@@ -28,8 +28,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/mocc_cc.h"
 #include "src/core/offline_trainer.h"
+#include "src/core/policy_spec.h"
 #include "src/envs/multi_flow_cc_env.h"
 #include "src/envs/scenario.h"
 #include "src/netsim/packet_network.h"
@@ -211,7 +211,9 @@ TEST_F(RealWorldTest, LossyLinkPolicySustainsThroughputWhereCubicCollapses) {
     PacketNetwork net(link, seed);
     const int flow = cubic
                          ? net.AddFlow(MakeBaselineCc("cubic"))
-                         : net.AddFlow(MakeMoccCc(model_, ThroughputObjective()));
+                         : net.AddFlow(
+                               PolicySpec().WithModel(model_).MakeController(
+                                   ThroughputObjective()));
     net.Run(40.0);
     return net.record(flow).AvgThroughputBps(20.0, 40.0) / link.bandwidth_bps;
   };

@@ -16,8 +16,8 @@
 
 #include "src/common/rng.h"
 #include "src/common/serialization.h"
-#include "src/core/mocc_cc.h"
 #include "src/core/offline_trainer.h"
+#include "src/core/policy_spec.h"
 #include "src/core/preference_model.h"
 #include "src/envs/scenario.h"
 #include "src/netsim/fault_spec.h"
@@ -306,8 +306,8 @@ TEST(GuardedControllerTest, NanPolicyFallsBackToCubicAndRecovers) {
   config.trunk_hidden = {16, 8};
   Rng rng(41);
   auto model = std::make_shared<PreferenceActorCritic>(config, &rng);
-  auto cc = MakeMoccCc(model, BalancedObjective(), "MOCC", 2e6,
-                       /*float32_inference=*/false, /*guarded=*/true);
+  auto cc = PolicySpec().WithModel(model).WithGuard(true).MakeController(
+      BalancedObjective(), 2e6);
   ASSERT_NE(cc->guard(), nullptr);
   const MonitorReport report = MakeReport();
 

@@ -1,28 +1,41 @@
 // The serving-layer contract suite (`ctest -L serving`): batched float32
 // inference must be BIT-IDENTICAL to the sequential single-row path at every
 // level — the MatMulBiasInto row-pair tiling, MlpT::ForwardBatchRows, the
-// InferencePolicy batch API — and a MoccServing instance must decide every
-// connection exactly as a dedicated per-flow RlRateController fed the same
-// reports would (float32, double and guarded variants). Plus slab lifecycle
-// determinism (attach/detach/reattach, stale-handle rejection), deadline-wheel
-// same-tick batching, and the InferencePolicy single-thread contract.
+// InferencePolicy batch API — and both deployment shapes (a many-connection
+// ServingEngine and per-flow RlRateControllers, which are one-connection
+// engines) must decide every connection exactly as an independent reference
+// built from the training-side primitives does on the same reports (float32,
+// double, int8, guarded, ECN-aware and Aurora-shaped variants). Plus slab
+// lifecycle determinism (attach/detach/reattach, stale-handle rejection),
+// deadline-wheel same-tick batching, rejection of malformed monitor reports,
+// and the InferencePolicy single-thread contract.
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/baselines/aurora.h"
+#include "src/baselines/cubic.h"
 #include "src/baselines/rl_cc.h"
 #include "src/common/rng.h"
 #include "src/core/mocc_api.h"
 #include "src/core/mocc_config.h"
 #include "src/core/policy_spec.h"
 #include "src/core/preference_model.h"
+#include "src/envs/cc_env.h"
+#include "src/envs/mi_history.h"
+#include "src/netsim/link_params.h"
 #include "src/nn/matrix.h"
 #include "src/nn/mlp.h"
+#include "src/rl/actor_critic.h"
+#include "src/rl/guarded_policy.h"
 #include "src/rl/inference_policy.h"
+#include "src/serving/serving_engine.h"
 
 namespace mocc {
 namespace {
@@ -172,66 +185,193 @@ TEST(ServingPolicyTest, PnRecomputesOncePerDistinctPrefixInSortedBatch) {
   EXPECT_EQ(pref->pn_recompute_count(), 6);
 }
 
-// --- 4. Service level: serving == dedicated per-flow controllers ------------
+// --- 4. Service level: engine == per-flow controllers == reference ---------
 
-void ExpectServingMatchesControllers(Precision precision, bool guard) {
-  MoccConfig config;
-  Rng rng(17);
-  auto model = std::make_shared<PreferenceActorCritic>(config, &rng);
-  PolicySpec spec;
-  spec.WithModel(model).WithPrecision(precision).WithGuard(guard);
+// The per-flow decision procedure, built straight from the training-side
+// primitives and sharing no code with src/serving/: MiHistoryTracker's own row,
+// ActorCritic / InferencePolicy::ActionMean on the [prefix | history] vector,
+// a GuardedPolicy with a warm-standby CUBIC, and CcEnv::ApplyRateAction plus
+// the rate clamp. Both deployment shapes must reproduce it bit for bit.
+class ReferenceController {
+ public:
+  ReferenceController(std::shared_ptr<ActorCritic> model,
+                      const RlRateController::Options& options)
+      : model_(std::move(model)),
+        options_(options),
+        history_(options.history_len, options.include_ecn),
+        rate_bps_(options.initial_rate_bps) {
+    if (options_.precision == Precision::kFloat32) {
+      replica_ = model_->MakeFloat32Policy();
+    } else if (options_.precision == Precision::kInt8) {
+      replica_ = model_->MakeInt8Policy();
+    }
+    if (options_.guard) {
+      GuardedPolicy::Options guard_options = options_.guard_options;
+      guard_options.min_rate_bps = options_.min_rate_bps;
+      guard_options.max_rate_bps = options_.max_rate_bps;
+      guard_ = std::make_unique<GuardedPolicy>(guard_options);
+      fallback_ = std::make_unique<CubicCc>();
+    }
+  }
 
+  void OnMonitorInterval(const MonitorReport& report) {
+    if (fallback_ != nullptr) {
+      fallback_->OnMonitorInterval(report);
+    }
+    history_.Push(report);
+    if (guard_ != nullptr && !guard_->BeginInterval()) {
+      rate_bps_ = FallbackRateBps(report);
+      return;
+    }
+    std::vector<double> obs = options_.observation_prefix;
+    history_.AppendObservation(&obs);
+    const double action =
+        replica_ != nullptr ? replica_->ActionMean(obs) : model_->ActionMean(obs);
+    ++inferences_;
+    const double proposed =
+        CcEnv::ApplyRateAction(rate_bps_, action, options_.action_scale);
+    if (guard_ != nullptr && !guard_->ValidateDecision(action, proposed, rate_bps_)) {
+      rate_bps_ = FallbackRateBps(report);
+      return;
+    }
+    rate_bps_ = std::clamp(proposed, options_.min_rate_bps, options_.max_rate_bps);
+  }
+
+  double rate_bps() const { return rate_bps_; }
+  int64_t inferences() const { return inferences_; }
+  const GuardedPolicy* guard() const { return guard_.get(); }
+
+ private:
+  double FallbackRateBps(const MonitorReport& report) const {
+    const double rtt_s = std::max({report.avg_rtt_s, report.min_rtt_s, 1e-3});
+    const double rate =
+        fallback_->CwndPackets() * static_cast<double>(kDefaultPacketSizeBits) / rtt_s;
+    return std::clamp(rate, options_.min_rate_bps, options_.max_rate_bps);
+  }
+
+  std::shared_ptr<ActorCritic> model_;
+  std::unique_ptr<InferencePolicy> replica_;  // null = double path
+  RlRateController::Options options_;
+  MiHistoryTracker history_;
+  double rate_bps_;
+  int64_t inferences_ = 0;
+  std::unique_ptr<GuardedPolicy> guard_;
+  std::unique_ptr<CongestionControl> fallback_;
+};
+
+// Flow f's observation prefix at the model's weight dimension (0 for Aurora).
+std::vector<double> FlowPrefix(int flow, size_t weight_dim) {
+  if (weight_dim == 0) {
+    return {};
+  }
+  const WeightVector w = FlowWeight(flow).Sanitized();
+  return {w.thr, w.lat, w.loss};
+}
+
+// Feeds kFlows identical report streams to three deciders per flow — the
+// reference, a per-flow RlRateController and one connection of a shared
+// many-connection ServingEngine — and requires every rate, decision count and
+// trip count to agree exactly. `options` carries the decision parameters; its
+// prefix length sets the weight dimension, the prefix itself is per flow.
+void ExpectServingMatchesReference(std::shared_ptr<ActorCritic> model,
+                                   RlRateController::Options options) {
   constexpr int kFlows = 12;
   constexpr int kRounds = 30;
-  constexpr double kInitialRate = 2e6;
+  const size_t weight_dim = options.observation_prefix.size();
+  ServingEngine engine(model, options, MoccServing::Options{});
+  std::vector<ReferenceController> refs;
   std::vector<std::unique_ptr<RlRateController>> ccs;
-  for (int f = 0; f < kFlows; ++f) {
-    ccs.push_back(spec.MakeController(FlowWeight(f), kInitialRate));
-  }
-  std::unique_ptr<MoccServing> service = CreateService(spec);
-  ASSERT_NE(service, nullptr);
-  MoccServing::ConnectionOptions copts;
-  copts.initial_rate_bps = kInitialRate;
   std::vector<ServingConnId> conns;
+  MoccServing::ConnectionOptions copts;
+  copts.initial_rate_bps = options.initial_rate_bps;
   for (int f = 0; f < kFlows; ++f) {
-    conns.push_back(service->AttachConnection(FlowWeight(f), copts));
+    options.observation_prefix = FlowPrefix(f, weight_dim);
+    refs.emplace_back(model, options);
+    ccs.push_back(std::make_unique<RlRateController>(model, options));
+    conns.push_back(engine.Attach(options.observation_prefix.data(), copts));
   }
   for (int round = 0; round < kRounds; ++round) {
     for (int f = 0; f < kFlows; ++f) {
-      const MonitorReport report = MakeReport(f, round);
+      MonitorReport report = MakeReport(f, round);
+      report.packets_marked = (round + f) % 4 == 0 ? 3 : 0;
+      report.ecn_rate = static_cast<double>(report.packets_marked) / report.packets_acked;
+      refs[f].OnMonitorInterval(report);
       ccs[f]->OnMonitorInterval(report);
-      ASSERT_TRUE(service->SubmitReport(conns[f], report));
+      ASSERT_TRUE(engine.SubmitReport(conns[f], report));
     }
-    service->RatePoll();
+    engine.PollPending();
     for (int f = 0; f < kFlows; ++f) {
-      ASSERT_EQ(service->RateBps(conns[f]), ccs[f]->PacingRateBps())
+      ASSERT_EQ(ccs[f]->PacingRateBps(), refs[f].rate_bps())
+          << "flow " << f << " round " << round;
+      ASSERT_EQ(engine.RateBps(conns[f]), refs[f].rate_bps())
           << "flow " << f << " round " << round;
     }
   }
   for (int f = 0; f < kFlows; ++f) {
-    EXPECT_EQ(service->DecisionCount(conns[f]), ccs[f]->inference_count())
-        << "flow " << f;
-    if (guard) {
-      const GuardedPolicy* sg = service->Guard(conns[f]);
-      ASSERT_NE(sg, nullptr);
+    EXPECT_EQ(ccs[f]->inference_count(), refs[f].inferences()) << "flow " << f;
+    EXPECT_EQ(engine.DecisionCount(conns[f]), refs[f].inferences()) << "flow " << f;
+    if (options.guard) {
+      ASSERT_NE(engine.Guard(conns[f]), nullptr);
       ASSERT_NE(ccs[f]->guard(), nullptr);
-      EXPECT_EQ(sg->trip_count(), ccs[f]->guard()->trip_count()) << "flow " << f;
+      EXPECT_EQ(engine.Guard(conns[f])->trip_count(), refs[f].guard()->trip_count())
+          << "flow " << f;
+      EXPECT_EQ(ccs[f]->guard()->trip_count(), refs[f].guard()->trip_count())
+          << "flow " << f;
     } else {
-      EXPECT_EQ(service->Guard(conns[f]), nullptr);
+      EXPECT_EQ(engine.Guard(conns[f]), nullptr);
+      EXPECT_EQ(ccs[f]->guard(), nullptr);
     }
   }
 }
 
+// A MOCC model's decision parameters through the PolicySpec mapping that
+// MakeController and CreateService share.
+void ExpectMoccServingMatchesReference(const MoccConfig& config, Precision precision,
+                                       bool guard) {
+  Rng rng(17);
+  auto model = std::make_shared<PreferenceActorCritic>(config, &rng);
+  const RlRateController::Options options =
+      PolicySpec()
+          .WithModel(model)
+          .WithPrecision(precision)
+          .WithGuard(guard)
+          .ControllerOptions(model->config(), FlowWeight(0), 2e6);
+  ExpectServingMatchesReference(model, options);
+}
+
 TEST(ServingEngineTest, Float32BatchMatchesPerFlowControllersBitExactly) {
-  ExpectServingMatchesControllers(Precision::kFloat32, /*guard=*/false);
+  ExpectMoccServingMatchesReference(MoccConfig{}, Precision::kFloat32, /*guard=*/false);
 }
 
 TEST(ServingEngineTest, DoublePathMatchesPerFlowControllersBitExactly) {
-  ExpectServingMatchesControllers(Precision::kDouble, /*guard=*/false);
+  ExpectMoccServingMatchesReference(MoccConfig{}, Precision::kDouble, /*guard=*/false);
 }
 
 TEST(ServingEngineTest, GuardedFloat32MatchesPerFlowControllersBitExactly) {
-  ExpectServingMatchesControllers(Precision::kFloat32, /*guard=*/true);
+  ExpectMoccServingMatchesReference(MoccConfig{}, Precision::kFloat32, /*guard=*/true);
+}
+
+TEST(ServingEngineTest, Int8MatchesReferenceBitExactly) {
+  ExpectMoccServingMatchesReference(MoccConfig{}, Precision::kInt8, /*guard=*/false);
+}
+
+TEST(ServingEngineTest, EcnAwareModelMatchesReferenceBitExactly) {
+  MoccConfig config;
+  config.ecn_signal = true;
+  ExpectMoccServingMatchesReference(config, Precision::kFloat32, /*guard=*/false);
+}
+
+TEST(ServingEngineTest, AuroraShapedModelMatchesReferenceBitExactly) {
+  // An empty prefix: weight dimension 0, one interned (empty) prefix.
+  Rng rng(31);
+  constexpr size_t kEta = 10;
+  auto model = std::make_shared<MlpActorCritic>(AuroraObsDim(kEta), &rng);
+  RlRateController::Options options;
+  options.history_len = kEta;
+  options.precision = Precision::kFloat32;
+  ExpectServingMatchesReference(model, options);
+  options.precision = Precision::kDouble;
+  ExpectServingMatchesReference(model, options);
 }
 
 // --- 5. Slab lifecycle: attach/detach/reattach determinism ------------------
@@ -355,7 +495,154 @@ TEST(ServingWheelTest, SameTickExpiriesBatchAndCadencesHold) {
   EXPECT_FALSE(service->SubmitReport(fast[0], MakeReport(0, 0)));
 }
 
-// --- 7. InferencePolicy thread contract -------------------------------------
+// --- 7. Malformed monitor reports: rejected at the single ingestion point ---
+
+// `r` with one field made malformed, drawn from `rng`: NaN, +inf, -inf or a
+// negative value in a double field (start_time_s may be negative, so only
+// non-finite values there), or a negative count.
+MonitorReport Corrupt(MonitorReport r, Rng* rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double* const fields[] = {&r.duration_s, &r.send_rate_bps, &r.throughput_bps,
+                            &r.avg_rtt_s,  &r.min_rtt_s,     &r.loss_rate,
+                            &r.ecn_rate,   &r.start_time_s};
+  int64_t* const counts[] = {&r.packets_sent, &r.packets_acked, &r.packets_lost,
+                             &r.packets_marked};
+  const int64_t pick = rng->UniformInt(0, 11);
+  if (pick >= 8) {
+    *counts[pick - 8] = -rng->UniformInt(1, 1000);
+    return r;
+  }
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf,
+                        -rng->Uniform(1e-9, 1e3)};
+  *fields[pick] = bad[rng->UniformInt(0, pick == 7 ? 2 : 3)];
+  return r;
+}
+
+TEST(ServingReportTest, MalformedReportsAreRejectedAndLeaveNoTrace) {
+  MoccConfig config;
+  Rng model_rng(37);
+  auto model = std::make_shared<PreferenceActorCritic>(config, &model_rng);
+  PolicySpec spec;
+  spec.WithModel(model).WithPrecision(Precision::kFloat32);
+  const WeightVector w = FlowWeight(0);
+
+  // Clean twins next to dirty twins of every deployment surface: a service
+  // connection fed through SubmitReport, one fed through PostReport, a per-flow
+  // controller and the paper facade.
+  std::unique_ptr<MoccServing> service = CreateService(spec);
+  ASSERT_NE(service, nullptr);
+  const ServingConnId clean = service->AttachConnection(w);
+  const ServingConnId dirty = service->AttachConnection(w);
+  const ServingConnId posted = service->AttachConnection(w);
+  std::unique_ptr<RlRateController> cc_clean = spec.MakeController(w);
+  std::unique_ptr<RlRateController> cc_dirty = spec.MakeController(w);
+  MoccApi api_clean(model);
+  MoccApi api_dirty(model);
+  api_clean.Register(w);
+  api_dirty.Register(w);
+
+  Rng rng(41);
+  int64_t posted_bad = 0;
+  for (int round = 0; round < 40; ++round) {
+    MonitorReport good = MakeReport(0, round);
+    good.start_time_s = 0.05 * round;
+    if (round == 7) {
+      good.duration_s = 0.0;  // accepted: the gradient term ignores it
+    }
+    ASSERT_TRUE(ValidMonitorReport(good));
+    // The first round always leads with bad reports (a poisoned first RTT
+    // sample is the worst case); later rounds with probability one half.
+    const int64_t bad_count = round == 0 || rng.Bernoulli(0.5) ? rng.UniformInt(1, 3) : 0;
+    for (int64_t b = 0; b < bad_count; ++b) {
+      const MonitorReport bad = Corrupt(good, &rng);
+      ASSERT_FALSE(ValidMonitorReport(bad)) << "round " << round;
+      EXPECT_FALSE(service->SubmitReport(dirty, bad)) << "round " << round;
+      ASSERT_TRUE(service->PostReport(posted, bad));
+      ++posted_bad;
+      // A rejected report is no decision: the rate, the decision count, and the
+      // facade's estimators and reward stay as they were.
+      const double cc_rate = cc_dirty->PacingRateBps();
+      const int64_t cc_decisions = cc_dirty->inference_count();
+      cc_dirty->OnMonitorInterval(bad);
+      EXPECT_EQ(cc_dirty->PacingRateBps(), cc_rate);
+      EXPECT_EQ(cc_dirty->inference_count(), cc_decisions);
+      const double api_rate = api_dirty.GetSendingRate();
+      const double capacity = api_dirty.EstimatedCapacityBps();
+      const double base_rtt = api_dirty.EstimatedBaseRttS();
+      const double reward = api_dirty.LastReward();
+      api_dirty.ReportStatus(bad);
+      EXPECT_EQ(api_dirty.GetSendingRate(), api_rate);
+      EXPECT_EQ(api_dirty.EstimatedCapacityBps(), capacity);
+      EXPECT_EQ(api_dirty.EstimatedBaseRttS(), base_rtt);
+      EXPECT_EQ(api_dirty.LastReward(), reward);
+      EXPECT_EQ(api_dirty.inference_count(), round);
+    }
+    // The posted bad reports are dropped at the drain, so the connection is
+    // free to take this round's good report.
+    service->RatePoll();
+    ASSERT_EQ(service->stats().ring_dropped, posted_bad);
+    ASSERT_TRUE(service->SubmitReport(clean, good));
+    ASSERT_TRUE(service->SubmitReport(dirty, good));
+    ASSERT_TRUE(service->PostReport(posted, good));
+    service->RatePoll();
+    cc_clean->OnMonitorInterval(good);
+    cc_dirty->OnMonitorInterval(good);
+    api_clean.ReportStatus(good);
+    api_dirty.ReportStatus(good);
+
+    ASSERT_EQ(service->RateBps(dirty), service->RateBps(clean)) << "round " << round;
+    ASSERT_EQ(service->RateBps(posted), service->RateBps(clean)) << "round " << round;
+    ASSERT_EQ(cc_dirty->PacingRateBps(), cc_clean->PacingRateBps()) << "round " << round;
+    ASSERT_EQ(api_dirty.GetSendingRate(), api_clean.GetSendingRate()) << "round " << round;
+    ASSERT_EQ(api_dirty.EstimatedBaseRttS(), api_clean.EstimatedBaseRttS());
+    ASSERT_EQ(api_dirty.LastReward(), api_clean.LastReward());
+  }
+  EXPECT_EQ(service->DecisionCount(dirty), 40);
+  EXPECT_EQ(service->DecisionCount(posted), 40);
+  EXPECT_EQ(service->stats().ring_reports, 40);
+}
+
+TEST(ServingReportTest, MalformedSynthesizedReportSkipsItsInterval) {
+  MoccConfig config;
+  Rng model_rng(43);
+  auto model = std::make_shared<PreferenceActorCritic>(config, &model_rng);
+  PolicySpec spec;
+  spec.WithModel(model).WithPrecision(Precision::kFloat32);
+  MoccServing::Options sopts;
+  sopts.tick_s = 0.010;
+  std::unique_ptr<MoccServing> service = CreateService(spec, sopts);
+  ASSERT_NE(service, nullptr);
+
+  // `dirty` sees a NaN ACK RTT in its first 20 ms interval; `clean` starts one
+  // interval later, so both then see the same feedback on the same ticks.
+  MoccServing::ConnectionOptions copts;
+  copts.mi_duration_s = 0.020;
+  const ServingConnId dirty = service->AttachConnection(FlowWeight(0), copts);
+  copts.start_time_s = 0.020;
+  const ServingConnId clean = service->AttachConnection(FlowWeight(0), copts);
+  AckInfo poisoned;
+  poisoned.rtt_s = std::numeric_limits<double>::quiet_NaN();
+  service->OnPacketSent(dirty, 2);
+  service->OnAck(dirty, poisoned);
+  service->RatePoll(0.010);
+  service->RatePoll(0.020);
+  EXPECT_EQ(service->DecisionCount(dirty), 0);  // the poisoned interval is skipped
+  EXPECT_EQ(service->RateBps(dirty), 2e6);
+  for (int tick = 3; tick <= 20; ++tick) {
+    AckInfo ack;
+    ack.rtt_s = 0.040 + 0.001 * (tick % 5);
+    for (const ServingConnId id : {dirty, clean}) {
+      service->OnPacketSent(id, 2);
+      service->OnAck(id, ack);
+    }
+    service->RatePoll(tick * 0.010);
+    ASSERT_EQ(service->RateBps(dirty), service->RateBps(clean)) << "tick " << tick;
+  }
+  EXPECT_EQ(service->DecisionCount(dirty), 9);
+  EXPECT_EQ(service->DecisionCount(clean), 9);
+}
+
+// --- 8. InferencePolicy thread contract -------------------------------------
 
 TEST(ServingPolicyTest, SequentialUseAcrossThreadsIsAllowed) {
   MoccConfig config;

@@ -23,7 +23,7 @@
 //   mocc_simulate --scheme NAME [--model PATH] [--weights T,L,S] [--bw MBPS] [--owd MS]
 //                 [--queue PKTS] [--loss FRAC] [--duration S] [--seed N]
 //                 [--mahimahi TRACE] [--scenario NAME] [--list-scenarios]
-//                 [--precision double|float32|int8] [--guard] [--serving]
+//                 [--precision double|float32|int8] [--guard]
 //                 [--objectives T,L,S[;T,L,S...]] [--switch TIME:T,L,S]...
 //                 [--fleet] [--shards N] [--episodes N] [--steps N] [--threads N]
 //
@@ -39,15 +39,13 @@
 //   (src/rl/guarded_policy.h): violations degrade the flow to a warm-standby CUBIC
 //   fallback with periodic half-open probes; trip/fallback/recovery counts are
 //   reported per flow. All MOCC knobs flow through one PolicySpec
-//   (src/core/policy_spec.h) — the same spec the serving layer consumes.
-//   --serving drives the agent flows through one shared MoccServing instance
-//   (connection slab + batched inference, src/core/mocc_api.h) instead of
-//   per-flow controllers; decisions are bit-identical, so timelines match the
-//   per-flow path exactly. Fault-injection scenarios (blackout, flaky-link,
-//   loss-burst) apply their FaultSpec to the bottleneck link here exactly as in
-//   training; AQM/ECN and wifi-jitter scenarios (red-ecn, codel, wifi-jitter,
-//   ...) mirror their bottleneck link models the same way, and MOCC agent flows
-//   become ECN-capable whenever the scenario's AQM marks.
+//   (src/core/policy_spec.h) — the same spec the serving layer consumes, and
+//   every per-flow controller decides on the serving engine. Fault-injection
+//   scenarios (blackout, flaky-link, loss-burst) apply their FaultSpec to the
+//   bottleneck link here exactly as in training; AQM/ECN and wifi-jitter
+//   scenarios (red-ecn, codel, wifi-jitter, ...) mirror their bottleneck link
+//   models the same way, and MOCC agent flows become ECN-capable whenever the
+//   scenario's AQM marks.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -59,14 +57,12 @@
 #include <vector>
 
 #include "src/common/stats.h"
-#include "src/core/mocc_api.h"
 #include "src/core/policy_spec.h"
 #include "src/core/preference_model.h"
 #include "src/core/reward.h"
 #include "src/envs/scenario.h"
 #include "src/fleet/fleet.h"
 #include "src/netsim/packet_network.h"
-#include "src/serving/serving_cc.h"
 
 namespace {
 
@@ -131,7 +127,6 @@ int main(int argc, char** argv) {
   bool link_flags_given = false;
   Precision precision = Precision::kDouble;
   bool guard = false;
-  bool serving = false;
   bool fleet = false;
   int fleet_shards = 8;
   int fleet_episodes = 1;
@@ -229,8 +224,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--guard") {
       guard = true;
-    } else if (arg == "--serving") {
-      serving = true;
     } else if (arg == "--fleet") {
       fleet = true;
     } else if (arg == "--shards") {
@@ -250,7 +243,7 @@ int main(int argc, char** argv) {
           "                     [--bw MBPS] [--owd MS] [--queue PKTS] [--loss FRAC]\n"
           "                     [--duration S] [--seed N] [--mahimahi TRACE]\n"
           "                     [--scenario NAME] [--list-scenarios]\n"
-          "                     [--precision double|float32|int8] [--guard] [--serving]\n"
+          "                     [--precision double|float32|int8] [--guard]\n"
           "                     [--objectives T,L,S[;T,L,S...]] [--switch TIME:T,L,S]\n"
           "                     [--fleet] [--shards N] [--episodes N] [--steps N]\n"
           "                     [--threads N]\n"
@@ -259,9 +252,6 @@ int main(int argc, char** argv) {
           "  pool (src/fleet/fleet.h) and prints per-shard and aggregate rollups;\n"
           "  results are bit-identical for any --threads (0 = all cores, 1 =\n"
           "  serial reference). MOCC only; the scenario defaults to many-flow.\n"
-          "  --serving drives MOCC agent flows through one shared serving instance\n"
-          "  (connection slab + batched inference) instead of per-flow controllers;\n"
-          "  decisions are bit-identical to the per-flow path.\n"
           "  --objectives assigns agent flow i the i%%N-th weight triple (MOCC only),\n"
           "  overriding the scenario's objective plan; --switch (repeatable)\n"
           "  schedules an online preference change for every agent flow at TIME s.\n"
@@ -320,10 +310,6 @@ int main(int argc, char** argv) {
   }
   if (guard && scheme != "mocc") {
     std::fprintf(stderr, "warning: --guard only affects --scheme mocc\n");
-  }
-  if (serving && scheme != "mocc") {
-    std::fprintf(stderr, "warning: --serving only affects --scheme mocc\n");
-    serving = false;
   }
 
   // All MOCC deployment knobs in one spec: the controller factory and the serving
@@ -481,15 +467,6 @@ int main(int argc, char** argv) {
   std::vector<int> competitor_flows;
   // MOCC controllers stay addressable for online preference switching (owned by net).
   std::vector<RlRateController*> agent_controllers;
-  // --serving: the shared service and each agent flow's connection handle.
-  std::unique_ptr<MoccServing> service;
-  std::vector<ServingConnId> agent_conns;
-  if (serving && scheme == "mocc") {
-    service = CreateService(spec);
-    if (service == nullptr) {
-      return 1;
-    }
-  }
   std::vector<double> agent_extra_delay(static_cast<size_t>(num_agents), 0.0);
   // Initial rate, the Eq. (1) update's slow-start analogue: a quarter of the pipe for
   // a lone flow (the historical heuristic), but a conservative half of the per-flow
@@ -517,14 +494,7 @@ int main(int argc, char** argv) {
       agent_extra_delay[static_cast<size_t>(i)] = options.extra_one_way_delay_s;
     }
     std::unique_ptr<CongestionControl> cc;
-    if (scheme == "mocc" && serving) {
-      MoccServing::ConnectionOptions copts;
-      copts.initial_rate_bps = initial_rate_bps;
-      const ServingConnId conn =
-          service->AttachConnection(agent_weights[static_cast<size_t>(i)], copts);
-      agent_conns.push_back(conn);
-      cc = std::make_unique<ServingCc>(service.get(), conn, "MOCC");
-    } else if (scheme == "mocc") {
+    if (scheme == "mocc") {
       auto controller =
           spec.MakeController(agent_weights[static_cast<size_t>(i)], initial_rate_bps);
       agent_controllers.push_back(controller.get());
@@ -566,12 +536,8 @@ int main(int argc, char** argv) {
         continue;
       }
       const WeightVector to = sw.to.Sanitized();
-      if (serving) {
-        service->SwitchObjective(agent_conns[static_cast<size_t>(i)], to);
-      } else {
-        agent_controllers[static_cast<size_t>(i)]->SetObservationPrefix(
-            {to.thr, to.lat, to.loss});
-      }
+      agent_controllers[static_cast<size_t>(i)]->SetObservationPrefix(
+          {to.thr, to.lat, to.loss});
       agent_weights[static_cast<size_t>(i)] = to;
     }
     std::fprintf(stderr, "switch @ %.1fs: %s -> %s\n", sw.time_s,
@@ -609,10 +575,8 @@ int main(int argc, char** argv) {
 
   // Guardrail report: per-flow circuit-breaker activity (only with --guard).
   if (guard && scheme == "mocc") {
-    const size_t guarded_agents = serving ? agent_conns.size() : agent_controllers.size();
-    for (size_t i = 0; i < guarded_agents; ++i) {
-      const GuardedPolicy* g =
-          serving ? service->Guard(agent_conns[i]) : agent_controllers[i]->guard();
+    for (size_t i = 0; i < agent_controllers.size(); ++i) {
+      const GuardedPolicy* g = agent_controllers[i]->guard();
       const char* state = g->state() == GuardedPolicy::State::kClosed ? "closed"
                           : g->state() == GuardedPolicy::State::kOpen ? "open"
                                                                       : "half-open";
