@@ -84,19 +84,10 @@ void PreferenceActorCritic::ForwardHeadRow(Head* head, const std::vector<double>
 }
 
 void PreferenceActorCritic::BackwardHead(Head* head, const Matrix& grad_out) {
-  head->trunk.BackwardInto(grad_out, &head->dconcat);
-  // Route the preference-feature slice of the gradient into the PN; the history slice
-  // ends at the observation (no upstream parameters).
-  const size_t batch = head->dconcat.rows();
-  head->dpn.Resize(batch, config_.pn_out);
-  for (size_t b = 0; b < batch; ++b) {
-    const double* src = head->dconcat.RowPtr(b);
-    double* dst = head->dpn.RowPtr(b);
-    for (size_t c = 0; c < config_.pn_out; ++c) {
-      dst[c] = src[c];
-    }
-  }
-  head->preference_net.BackwardInto(head->dpn, &dpn_in_scratch_);
+  // Only the trunk's leading preference-feature columns of dL/dX have a reader
+  // (the PN); the history columns and the PN's dL/dw end at the observation.
+  head->trunk.BackwardInto(grad_out, &head->dpn, config_.pn_out);
+  head->preference_net.BackwardInto(head->dpn, nullptr);
 }
 
 void PreferenceActorCritic::Forward(const Matrix& obs, Matrix* mean, Matrix* value) {

@@ -79,8 +79,7 @@ class PreferenceActorCritic : public ActorCritic {
     Matrix weights_in;  // batch x kWeightDim slice of obs
     Matrix pn_out;
     Matrix concat;
-    Matrix dconcat;
-    Matrix dpn;
+    Matrix dpn;  // dL/d(PN features): the trunk's leading dL/dX columns
     // Single-row workspace: [PN features | history], pre-sized at construction.
     // The PN-feature prefix doubles as the cache for pn_cache_w.
     std::vector<double> concat_row;
@@ -98,7 +97,6 @@ class PreferenceActorCritic : public ActorCritic {
   Head critic_;
   Matrix log_std_{1, 1};
   Matrix log_std_grad_{1, 1};
-  Matrix dpn_in_scratch_;  // discarded dL/dw of the PN backward
 };
 
 }  // namespace mocc

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "src/nn/simd/dispatch.h"
 
@@ -155,29 +156,31 @@ void MatMulInto(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>* c) {
 }
 
 template <typename T>
-void MatMulTransposeBInto(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>* c) {
+void MatMulTransposeBInto(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>* c,
+                          size_t b_rows) {
   assert(a.cols() == b.cols());
   assert(c != &a && c != &b);
   const size_t m = a.rows();
   const size_t k_dim = a.cols();
-  const size_t n = b.rows();
+  const size_t n = std::min(b_rows, b.rows());
   c->Resize(m, n);
-  T* cd = c->data();
-  const T* ad = a.data();
+  // Stage the leading n rows of B transposed (k_dim x n), so every row of C is
+  // a sweep over contiguous output blocks. Per thread and capacity-reused:
+  // steady-state calls allocate nothing.
+  thread_local std::vector<T> bt;
+  bt.resize(k_dim * n);
   const T* bd = b.data();
-  // Both operands are traversed along contiguous rows (B is already the transposed
-  // layout), so each output is a unit-stride dot product.
-  for (size_t i = 0; i < m; ++i) {
-    const T* arow = ad + i * k_dim;
-    T* crow = cd + i * n;
-    for (size_t j = 0; j < n; ++j) {
-      const T* brow = bd + j * k_dim;
-      T sum = T(0);
-      for (size_t k = 0; k < k_dim; ++k) {
-        sum += arow[k] * brow[k];
-      }
-      crow[j] = sum;
+  for (size_t j = 0; j < n; ++j) {
+    for (size_t k = 0; k < k_dim; ++k) {
+      bt[k * n + j] = bd[j * k_dim + k];
     }
+  }
+  if constexpr (std::is_same_v<T, double>) {
+    simd::MatMulUnfused(a.data(), bt.data(), c->data(), m, k_dim, n);
+  } else {
+    // float has no training caller; it shares MatMulInto's core.
+    std::fill(c->data(), c->data() + c->size(), T(0));
+    MatMulAccumulateRaw(a.data(), bt.data(), c->data(), m, k_dim, n);
   }
 }
 
@@ -190,6 +193,50 @@ void MatMulTransposeAInto(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>* 
   MatMulTransposeAAccumulate(a, b, c);
 }
 
+namespace {
+
+// One TI x TJ tile of C += A^T * B, held in registers across every row r of A
+// and B. Element (i, j) still runs its own chain c += a[r][i] * b[r][j] over
+// ascending r from its prior value, so the tile shape never changes a bit.
+template <size_t TI, size_t TJ, typename T>
+inline void AccumulateTransposeATile(const T* ad, const T* bd, T* cd, size_t r_dim,
+                                     size_t m, size_t n, size_t i0, size_t j0) {
+  T acc[TI][TJ];
+  for (size_t ii = 0; ii < TI; ++ii) {
+    for (size_t jj = 0; jj < TJ; ++jj) {
+      acc[ii][jj] = cd[(i0 + ii) * n + j0 + jj];
+    }
+  }
+  for (size_t r = 0; r < r_dim; ++r) {
+    const T* arow = ad + r * m + i0;
+    const T* brow = bd + r * n + j0;
+    for (size_t ii = 0; ii < TI; ++ii) {
+      for (size_t jj = 0; jj < TJ; ++jj) {
+        acc[ii][jj] += arow[ii] * brow[jj];
+      }
+    }
+  }
+  for (size_t ii = 0; ii < TI; ++ii) {
+    for (size_t jj = 0; jj < TJ; ++jj) {
+      cd[(i0 + ii) * n + j0 + jj] = acc[ii][jj];
+    }
+  }
+}
+
+template <size_t TI, typename T>
+inline void AccumulateTransposeARows(const T* ad, const T* bd, T* cd, size_t r_dim,
+                                     size_t m, size_t n, size_t i0) {
+  size_t j0 = 0;
+  for (; j0 + 8 <= n; j0 += 8) {
+    AccumulateTransposeATile<TI, 8>(ad, bd, cd, r_dim, m, n, i0, j0);
+  }
+  for (; j0 < n; ++j0) {
+    AccumulateTransposeATile<TI, 1>(ad, bd, cd, r_dim, m, n, i0, j0);
+  }
+}
+
+}  // namespace
+
 template <typename T>
 void MatMulTransposeAAccumulate(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>* c) {
   assert(a.rows() == b.rows());
@@ -201,19 +248,12 @@ void MatMulTransposeAAccumulate(const MatrixT<T>& a, const MatrixT<T>& b, Matrix
   T* cd = c->data();
   const T* ad = a.data();
   const T* bd = b.data();
-  for (size_t r0 = 0; r0 < r_dim; r0 += kBlock) {
-    const size_t r1 = std::min(r_dim, r0 + kBlock);
-    for (size_t r = r0; r < r1; ++r) {
-      const T* arow = ad + r * m;
-      const T* brow = bd + r * n;
-      for (size_t i = 0; i < m; ++i) {
-        const T ari = arow[i];
-        T* crow = cd + i * n;
-        for (size_t j = 0; j < n; ++j) {
-          crow[j] += ari * brow[j];
-        }
-      }
-    }
+  size_t i0 = 0;
+  for (; i0 + 4 <= m; i0 += 4) {
+    AccumulateTransposeARows<4>(ad, bd, cd, r_dim, m, n, i0);
+  }
+  for (; i0 < m; ++i0) {
+    AccumulateTransposeARows<1>(ad, bd, cd, r_dim, m, n, i0);
   }
 }
 
@@ -323,7 +363,7 @@ double FrobeniusNorm(const MatrixT<T>& m) {
                                       const MatrixT<T>&, T*);                          \
   template void RowMatVecBias<T>(const T*, const T*, const T*, T*, size_t, size_t);    \
   template void MatMulTransposeBInto<T>(const MatrixT<T>&, const MatrixT<T>&,          \
-                                        MatrixT<T>*);                                  \
+                                        MatrixT<T>*, size_t);                          \
   template void MatMulTransposeAInto<T>(const MatrixT<T>&, const MatrixT<T>&,          \
                                         MatrixT<T>*);                                  \
   template void MatMulTransposeAAccumulate<T>(const MatrixT<T>&, const MatrixT<T>&,    \

@@ -5,7 +5,7 @@
 // path (src/rl/inference_policy.h) runs the same kernels on MatrixT<float> — halving
 // the weight bytes per inference and doubling the SIMD lanes without a second kernel
 // implementation. Only these two scalar types are instantiated (see matrix.cc).
-// The multiply kernels are cache-blocked over the reduction dimension and every kernel
+// Each multiply kernel documents its per-element arithmetic below, and every kernel
 // has an out-parameter ("Into") variant so hot loops can run allocation-free in steady
 // state: a matrix resized to a shape it has held before reuses its storage.
 #ifndef MOCC_SRC_NN_MATRIX_H_
@@ -13,6 +13,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -116,13 +117,12 @@ using Matrix = MatrixT<double>;
 template <typename T>
 void MatMulInto(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>* c);
 
-// C = A * B + 1·bias (every output row is initialized with the 1 x B.cols() row
-// vector `bias`, then accumulated): the fused dense-layer kernel, saving a
-// separate bias pass over C. Rows of A are processed in register-tiled pairs
-// whose column blocks of B are consumed back-to-back while L1-hot (the
-// batched-serving path's bandwidth saver); every row runs through the same tile
-// instantiations as RowMatVecBias, so batched and single-row forwards produce
-// bit-identical values per row.
+// C = A * B + 1·bias: the dense-layer forward. Every output is an ascending-k
+// fused chain acc = fma(a[k], b[k][j], acc) from zero, plus the bias (a
+// 1 x B.cols() row vector); B.cols() == 1 uses the defined lane-split tree of
+// scalar_kernels.inc instead. The batched form is a loop of the single-row
+// dispatched kernel RowMatVecBias, so batched and single-row forwards produce
+// bit-identical values per row on every SIMD tier.
 template <typename T>
 void MatMulBiasInto(const MatrixT<T>& a, const MatrixT<T>& b, const MatrixT<T>& bias,
                     MatrixT<T>* c);
@@ -142,16 +142,28 @@ void MatMulBiasRowsInto(const T* a, size_t m, const MatrixT<T>& b,
 template <typename T>
 void RowMatVecBias(const T* x, const T* w, const T* b, T* y, size_t in, size_t out);
 
-// C = A * B^T. Requires A.cols() == B.cols().
+// C = A * B^T over the leading n = min(b_rows, B.rows()) rows of B, so C is
+// A.rows() x n: the backward pass's dL/dX = Δ·Wᵀ for the first n inputs only.
+// Requires A.cols() == B.cols(). Every double output is an ascending-k sum of
+// individually rounded products with no fma, ((0 + a0·b0) + a1·b1) + ..., run
+// by the dispatched simd::MatMulUnfused on a staged copy of B^T; the value is
+// the same on every SIMD tier and build, and independent of n. (float, which has
+// no training caller, runs MatMulInto's loop on the staged copy.)
 template <typename T>
-void MatMulTransposeBInto(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>* c);
+void MatMulTransposeBInto(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>* c,
+                          size_t b_rows = SIZE_MAX);
 
 // C = A^T * B. Requires A.rows() == B.rows().
 template <typename T>
 void MatMulTransposeAInto(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>* c);
 
-// C += A^T * B without materializing the product (gradient accumulation).
-// C must already be A.cols() x B.cols().
+// C += A^T * B without materializing the product: the backward pass's dW. C must
+// already be A.cols() x B.cols(). Register-tiled: each C tile stays in registers
+// across all rows r, and every element runs the ascending-r chain
+// c += a[r][i] * b[r][j] from its prior value. matrix.cc is built with the
+// project's codegen flags, so each step is one fma where the build targets FMA
+// hardware (-march=native) and a rounded multiply plus add otherwise: native and
+// generic builds train to different bytes.
 template <typename T>
 void MatMulTransposeAAccumulate(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>* c);
 

@@ -73,7 +73,8 @@ void DenseLayerT<T>::ForwardInto(const MatrixT<T>& x, MatrixT<T>* y) {
 }
 
 template <typename T>
-void DenseLayerT<T>::BackwardInto(const MatrixT<T>& grad_out, MatrixT<T>* grad_in) {
+void DenseLayerT<T>::BackwardInto(const MatrixT<T>& grad_out, MatrixT<T>* grad_in,
+                                  size_t grad_in_cols) {
   assert(fwd_input_ != nullptr && fwd_output_ != nullptr);
   assert(grad_out.rows() == fwd_output_->rows() && grad_out.cols() == fwd_output_->cols());
   assert(grad_in != &grad_out);
@@ -86,7 +87,9 @@ void DenseLayerT<T>::BackwardInto(const MatrixT<T>& grad_out, MatrixT<T>* grad_i
   }
   MatMulTransposeAAccumulate(*fwd_input_, dpre_, &grad_weights_);
   ColumnSumsAccumulate(dpre_, &grad_bias_);
-  MatMulTransposeBInto(dpre_, weights_, grad_in);
+  if (grad_in != nullptr) {
+    MatMulTransposeBInto(dpre_, weights_, grad_in, grad_in_cols);
+  }
 }
 
 template <typename T>
@@ -197,26 +200,20 @@ void MlpT<T>::ForwardInto(const MatrixT<T>& x, MatrixT<T>* y) {
 }
 
 template <typename T>
-void MlpT<T>::BackwardInto(const MatrixT<T>& grad_out, MatrixT<T>* grad_in) {
-  if (layers_.empty()) {
-    grad_in->CopyFrom(grad_out);
-    return;
+void MlpT<T>::BackwardInto(const MatrixT<T>& grad_out, MatrixT<T>* grad_in,
+                           size_t grad_in_cols) {
+  assert(!layers_.empty());
+  // Ping-pong the inter-layer gradient through two workspaces; the first layer
+  // writes the requested dL/dX columns straight into the caller's matrix.
+  const MatrixT<T>* cur = &grad_out;
+  MatrixT<T>* ping = &grad_ping_;
+  MatrixT<T>* pong = &grad_pong_;
+  for (size_t i = layers_.size(); i-- > 1;) {
+    layers_[i].BackwardInto(*cur, ping);
+    cur = ping;
+    std::swap(ping, pong);
   }
-  if (layers_.size() == 1) {
-    layers_[0].BackwardInto(grad_out, grad_in);
-    return;
-  }
-  // Ping-pong the inter-layer gradient through two workspaces; the final dL/dX
-  // goes straight into the caller's matrix.
-  MatrixT<T>* cur = &grad_ping_;
-  MatrixT<T>* next = &grad_pong_;
-  layers_.back().BackwardInto(grad_out, cur);
-  for (size_t i = layers_.size() - 1; i-- > 0;) {
-    MatrixT<T>* dst = (i == 0) ? grad_in : next;
-    layers_[i].BackwardInto(*cur, dst);
-    next = cur;
-    cur = dst;
-  }
+  layers_[0].BackwardInto(*cur, grad_in, grad_in_cols);
 }
 
 template <typename T>

@@ -81,10 +81,14 @@ class DenseLayerT {
   // so both must stay alive and unmodified until then.
   void ForwardInto(const MatrixT<T>& x, MatrixT<T>* y);
 
-  // Allocation-free backward pass: accumulates dW/db and writes dL/dX into
-  // `grad_in` (which must not alias `grad_out`). Must follow a ForwardInto with the
-  // matching batch.
-  void BackwardInto(const MatrixT<T>& grad_out, MatrixT<T>* grad_in);
+  // Allocation-free backward pass: accumulates dW/db and writes dL/dX for the
+  // leading `grad_in_cols` input columns (all by default) into `grad_in`, which
+  // becomes batch x min(grad_in_cols, in_dim()) and must not alias `grad_out`. A
+  // null `grad_in` skips dL/dX. What is asked of dL/dX never changes the
+  // parameter gradients, and a limited dL/dX equals the leading columns of the
+  // full one bit for bit. Must follow a ForwardInto with the matching batch.
+  void BackwardInto(const MatrixT<T>& grad_out, MatrixT<T>* grad_in,
+                    size_t grad_in_cols = SIZE_MAX);
 
   // Fused single-row inference: y[0..out_dim()) = act(x · W + b), where x has
   // in_dim() elements. Pure (no caching); bit-for-bit equal to a 1-row ForwardInto.
@@ -161,8 +165,12 @@ class MlpT {
 
   // Allocation-free batched backward pass from dL/dY; accumulates parameter
   // gradients and writes dL/dX into `grad_in` so callers can chain into upstream
-  // sub-networks. Must follow a ForwardInto with the matching batch.
-  void BackwardInto(const MatrixT<T>& grad_out, MatrixT<T>* grad_in);
+  // sub-networks. As for DenseLayerT::BackwardInto, only the leading
+  // `grad_in_cols` columns of dL/dX are computed, and none when `grad_in` is
+  // null; interior layers always pass their full gradient on. Must follow a
+  // ForwardInto with the matching batch.
+  void BackwardInto(const MatrixT<T>& grad_out, MatrixT<T>* grad_in,
+                    size_t grad_in_cols = SIZE_MAX);
 
   // Fused single-row inference: out[0..out_dim()) from in[0..in_dim()). Uses
   // per-network scratch rows (zero allocation in steady state); bit-for-bit equal

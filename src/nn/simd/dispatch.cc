@@ -23,6 +23,7 @@ Kernels Compose(const Kernels* tier) {
   if (tier->int8_quantize_row) k.int8_quantize_row = tier->int8_quantize_row;
   if (tier->int8_row_gemv) k.int8_row_gemv = tier->int8_row_gemv;
   if (tier->int8_post_tanh) k.int8_post_tanh = tier->int8_post_tanh;
+  if (tier->matmul_unfused_f64) k.matmul_unfused_f64 = tier->matmul_unfused_f64;
   return k;
 }
 

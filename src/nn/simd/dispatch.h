@@ -1,11 +1,12 @@
-// Runtime-dispatched SIMD kernels for the inference hot paths.
+// Runtime-dispatched SIMD kernels for the inference hot paths and the PPO
+// update's input-gradient product.
 //
 // One binary, every microarchitecture: the build no longer relies on
-// -march=native auto-vectorization for the hot kernels. Instead the three hot
-// loops (RowMatVecBias / the batched row drivers, the FastTanh activation
-// sweeps, and the int8 quantized row GEMV) are compiled per ISA tier in their
-// own translation units (src/nn/simd/kernels_*.cc) and selected ONCE per
-// process by CPUID:
+// -march=native auto-vectorization for the hot kernels. Instead the hot loops
+// (RowMatVecBias / the batched row loops, the FastTanh activation sweeps,
+// the int8 quantized row GEMV, and the training backward pass's dL/dX
+// product) are compiled per ISA tier in their own translation units
+// (src/nn/simd/kernels_*.cc) and selected ONCE per process by CPUID:
 //
 //   x86-64:  AVX2+FMA -> kAvx2; else SSSE3 -> kSsse3 (int8 GEMV only, float
 //            kernels stay scalar); else kScalar.
@@ -22,10 +23,11 @@
 // the vector tiers execute the same sequence lane-for-lane; the int8 kernels
 // are exact integer arithmetic. tests/simd_dispatch_test.cc asserts equality
 // (EXPECT_EQ, not tolerance) between the scalar tier and every tier the host
-// supports, so "which CPU ran this" can never change an inference result —
-// only how fast it was produced. Consequence: dispatch stays process-wide
-// constant, so the serial-vs-thread-pool and batch-vs-row bit-identity
-// contracts of the NN substrate are unaffected by which tier is active.
+// supports, so "which CPU ran this" can never change an inference result or
+// a trained weight — only how fast it was produced. Consequence: dispatch
+// stays process-wide constant, so the serial-vs-thread-pool and batch-vs-row
+// bit-identity contracts of the NN substrate are unaffected by which tier is
+// active.
 #ifndef MOCC_SRC_NN_SIMD_DISPATCH_H_
 #define MOCC_SRC_NN_SIMD_DISPATCH_H_
 
@@ -87,6 +89,15 @@ struct Kernels {
   void (*int8_post_tanh)(const int32_t* acc, const int32_t* col_sums,
                          const float* scales, float sx, const float* bias,
                          size_t out, float* f_out, uint8_t* q_out);
+  // Training kernel: c[m x n] = a[m x k] · bt[k x n], all row-major, where
+  // each output is the ascending-k sum of individually rounded products with
+  // NO fma, starting from +0: c = ((0 + a0·b0) + a1·b1) + ... This is the
+  // backward pass's dL/dX = Δ·Wᵀ (MatMulTransposeBInto stages Wᵀ as bt). It
+  // is unfused because that is the arithmetic the committed models and
+  // training digests were produced with; every tier keeps it, so training
+  // reproduces the same bytes on any host.
+  void (*matmul_unfused_f64)(const double* a, const double* bt, double* c,
+                             size_t m, size_t k, size_t n);
 };
 
 // The tier selected for this process (CPUID + MOCC_FORCE_SCALAR, resolved once
@@ -150,6 +161,11 @@ inline void Int8PostTanh(const int32_t* acc, const int32_t* col_sums,
                          const float* scales, float sx, const float* bias,
                          size_t out, float* f_out, uint8_t* q_out) {
   Active().int8_post_tanh(acc, col_sums, scales, sx, bias, out, f_out, q_out);
+}
+
+inline void MatMulUnfused(const double* a, const double* bt, double* c, size_t m,
+                          size_t k, size_t n) {
+  Active().matmul_unfused_f64(a, bt, c, m, k, n);
 }
 
 }  // namespace simd

@@ -518,10 +518,72 @@ void Avx2Int8PostTanh(const int32_t* acc, const int32_t* col_sums,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Training: unfused c = a · bt (RefMatMulUnfusedF64 mirror), vectorized across
+// outputs. Each lane is one output's chain acc + round(x·b): a separate
+// _mm256_mul_pd and _mm256_add_pd, which this TU's -ffp-contract=off keeps
+// the compiler from fusing. Two rows of c share every bt load, so a 16-wide
+// block runs eight independent add chains per k step.
+// ---------------------------------------------------------------------------
+
+template <int NR, int NV>  // NR rows of c x NV 4-wide output vectors
+inline void Avx2UnfusedBlock(const double* a, const double* bt, double* c,
+                             size_t k, size_t n, size_t i, size_t j0) {
+  __m256d acc[NR][NV];
+  for (int r = 0; r < NR; ++r) {
+    for (int v = 0; v < NV; ++v) {
+      acc[r][v] = _mm256_setzero_pd();
+    }
+  }
+  const double* bp = bt + j0;
+  for (size_t kk = 0; kk < k; ++kk, bp += n) {
+    __m256d w[NV];
+    for (int v = 0; v < NV; ++v) {
+      w[v] = _mm256_loadu_pd(bp + 4 * v);
+    }
+    for (int r = 0; r < NR; ++r) {
+      const __m256d x = _mm256_set1_pd(a[(i + r) * k + kk]);
+      for (int v = 0; v < NV; ++v) {
+        acc[r][v] = _mm256_add_pd(acc[r][v], _mm256_mul_pd(x, w[v]));
+      }
+    }
+  }
+  for (int r = 0; r < NR; ++r) {
+    for (int v = 0; v < NV; ++v) {
+      _mm256_storeu_pd(c + (i + r) * n + j0 + 4 * v, acc[r][v]);
+    }
+  }
+}
+
+template <int NR>
+inline void Avx2UnfusedRows(const double* a, const double* bt, double* c, size_t k,
+                            size_t n, size_t i) {
+  size_t j0 = 0;
+  for (; j0 + 16 <= n; j0 += 16) Avx2UnfusedBlock<NR, 4>(a, bt, c, k, n, i, j0);
+  for (; j0 + 8 <= n; j0 += 8) Avx2UnfusedBlock<NR, 2>(a, bt, c, k, n, i, j0);
+  for (; j0 + 4 <= n; j0 += 4) Avx2UnfusedBlock<NR, 1>(a, bt, c, k, n, i, j0);
+  for (size_t r = i; r < i + NR; ++r) {
+    for (size_t j = j0; j < n; ++j) {
+      double sum = 0.0;
+      for (size_t kk = 0; kk < k; ++kk) {
+        sum += a[r * k + kk] * bt[kk * n + j];
+      }
+      c[r * n + j] = sum;
+    }
+  }
+}
+
+void Avx2MatMulUnfusedF64(const double* a, const double* bt, double* c, size_t m,
+                          size_t k, size_t n) {
+  size_t i = 0;
+  for (; i + 2 <= m; i += 2) Avx2UnfusedRows<2>(a, bt, c, k, n, i);
+  for (; i < m; ++i) Avx2UnfusedRows<1>(a, bt, c, k, n, i);
+}
+
 constexpr Kernels kTable = {
     Avx2RowMatVecBiasF32, Avx2RowMatVecBiasF64, Avx2RowMatVecSeededF32,
     Avx2TanhArrayF32,     Avx2TanhArrayF64,     Avx2Int8QuantizeRow,
-    Avx2Int8Gemv,         Avx2Int8PostTanh,
+    Avx2Int8Gemv,         Avx2Int8PostTanh,     Avx2MatMulUnfusedF64,
 };
 
 }  // namespace

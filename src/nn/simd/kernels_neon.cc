@@ -80,6 +80,7 @@ void NeonRowMatVecBiasF32(const float* x, const float* w, const float* b, float*
 
 constexpr Kernels kTable = {
     NeonRowMatVecBiasF32, nullptr, nullptr, nullptr, nullptr, nullptr, nullptr, nullptr,
+    nullptr,
 };
 
 }  // namespace

@@ -59,8 +59,8 @@ void MlpActorCritic::Forward(const Matrix& obs, Matrix* mean, Matrix* value) {
 }
 
 void MlpActorCritic::Backward(const Matrix& dmean, const Matrix& dvalue) {
-  actor_.BackwardInto(dmean, &dx_scratch_);
-  critic_.BackwardInto(dvalue, &dx_scratch_);
+  actor_.BackwardInto(dmean, nullptr);
+  critic_.BackwardInto(dvalue, nullptr);
 }
 
 void MlpActorCritic::ForwardRow(const std::vector<double>& obs, double* mean, double* value) {

@@ -108,7 +108,6 @@ class MlpActorCritic : public ActorCritic {
   Mlp critic_;
   Matrix log_std_{1, 1};
   Matrix log_std_grad_{1, 1};
-  Matrix dx_scratch_;  // discarded dL/dX of Backward (capacity reused)
 };
 
 }  // namespace mocc

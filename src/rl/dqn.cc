@@ -135,7 +135,7 @@ void DqnTrainer::LearnStep() {
     loss += 0.5 * err * err;
     dq(b, a) = err * inv_batch;
   }
-  q_net_.Backward(dq);
+  q_net_.BackwardInto(dq, nullptr);
   auto params = q_net_.Params();
   ClipGradNorm(params, 1.0);
   optimizer_.Step(params);

@@ -3,6 +3,7 @@
 // batched reference bit-for-bit (same floating-point operation order), and parallel
 // rollout collection must be deterministic — bit-identical to serial collection and
 // reproducible across runs under a fixed seed.
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -113,6 +114,59 @@ TEST(NnFastPathTest, BackwardIntoMatchesLegacyBackwardBitForBit) {
   ASSERT_EQ(dxa.size(), dxb.size());
   for (size_t i = 0; i < dxa.size(); ++i) {
     EXPECT_EQ(dxa.data()[i], dxb.data()[i]);
+  }
+}
+
+TEST(NnFastPathTest, BackwardIntoColumnLimitLeavesParameterGradientsBitForBit) {
+  // Asking for fewer dL/dX columns, or none, only skips work: every parameter
+  // gradient equals the full call's bit for bit, and the limited dL/dX is the
+  // full one's leading columns. Shapes: the MOCC trunk (the PN reads 16 of its
+  // 46 input gradients) and a one-layer net, where the limit hits the only layer.
+  for (const std::vector<size_t>& dims :
+       {std::vector<size_t>{46, 64, 32, 1}, std::vector<size_t>{7, 5}}) {
+    Rng rng(37);
+    Mlp full(dims, Activation::kTanh, Activation::kIdentity, &rng);
+    Mlp limited(dims, Activation::kTanh, Activation::kIdentity, &rng);
+    Mlp none(dims, Activation::kTanh, Activation::kIdentity, &rng);
+    limited.CopyWeightsFrom(full);
+    none.CopyWeightsFrom(full);
+    Matrix x(9, dims.front());
+    x.FillNormal(&rng, 1.0);
+    Matrix dy(9, dims.back());
+    dy.FillNormal(&rng, 1.0);
+    auto backward = [&](Mlp* net, Matrix* dx, size_t cols) {
+      net->ZeroGrad();
+      Matrix y;
+      net->ForwardInto(x, &y);
+      net->BackwardInto(dy, dx, cols);
+    };
+    const size_t cols = 3;
+    Matrix dx_full;
+    Matrix dx_limited;
+    backward(&full, &dx_full, SIZE_MAX);
+    backward(&limited, &dx_limited, cols);
+    backward(&none, nullptr, SIZE_MAX);
+
+    ASSERT_EQ(dx_full.rows(), 9u);
+    ASSERT_EQ(dx_full.cols(), dims.front());
+    ASSERT_EQ(dx_limited.rows(), 9u);
+    ASSERT_EQ(dx_limited.cols(), cols);
+    for (size_t r = 0; r < 9; ++r) {
+      for (size_t c = 0; c < cols; ++c) {
+        EXPECT_EQ(dx_limited(r, c), dx_full(r, c)) << "row " << r << " col " << c;
+      }
+    }
+    auto pf = full.Params();
+    auto pl = limited.Params();
+    auto pn = none.Params();
+    ASSERT_EQ(pf.size(), pl.size());
+    ASSERT_EQ(pf.size(), pn.size());
+    for (size_t p = 0; p < pf.size(); ++p) {
+      for (size_t i = 0; i < pf[p].grad->size(); ++i) {
+        EXPECT_EQ(pl[p].grad->data()[i], pf[p].grad->data()[i]) << "param " << p;
+        EXPECT_EQ(pn[p].grad->data()[i], pf[p].grad->data()[i]) << "param " << p;
+      }
+    }
   }
 }
 

@@ -7,7 +7,8 @@
 // quantized pipeline. This is the property that makes runtime dispatch safe:
 // which CPU ran an inference can never change its result, only its speed.
 // The end-to-end form of the same contract is golden_inference_test, which
-// ctest registers a second time under MOCC_FORCE_SCALAR=1.
+// ctest registers a second time under MOCC_FORCE_SCALAR=1. The training
+// kernel (the backward pass's dL/dX product) is held to the same EXPECT_EQ.
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -70,6 +71,7 @@ TEST(DispatchTest, ScalarTierAlwaysSupportedAndComplete) {
     EXPECT_NE(k->int8_quantize_row, nullptr) << simd::TierName(t);
     EXPECT_NE(k->int8_row_gemv, nullptr) << simd::TierName(t);
     EXPECT_NE(k->int8_post_tanh, nullptr) << simd::TierName(t);
+    EXPECT_NE(k->matmul_unfused_f64, nullptr) << simd::TierName(t);
   }
 }
 
@@ -211,6 +213,74 @@ TEST(BitIdentityTest, TanhArraysMatchScalarOnEveryTier) {
       for (size_t i = 0; i < n; ++i) {
         EXPECT_EQ(d[i], d_ref[i]) << simd::TierName(t) << " f64 n=" << n
                                   << " x=" << grid_d[i];
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Training kernel: the backward pass's dL/dX = Δ·Wᵀ as c = a · bt with
+// unfused ascending sums.
+// ---------------------------------------------------------------------------
+
+TEST(BitIdentityTest, MatMulUnfusedF64MatchesScalarOnEveryTier) {
+  struct MatShape {
+    size_t m, k, n;  // c is m x n, reduced over k
+  };
+  // The trained model's products (k = a layer's output width, n = the inputs
+  // whose gradient is read): the trunk's first layer limited to its 16 PN
+  // columns and in full, its 64->32 and 32->1 layers, and the PN's 16->16
+  // layer. Then odd shapes whose reduction lengths (1, 3, 5) and output widths
+  // (1, 3, 17, 46) leave remainder tails, over 2-row blocks with and without a
+  // leftover row.
+  std::vector<MatShape> shapes = {
+      {9, 64, 16}, {9, 64, 46}, {9, 32, 64}, {9, 1, 32}, {9, 16, 16}};
+  for (size_t m : {size_t{1}, size_t{4}, size_t{5}}) {
+    for (size_t k : {size_t{1}, size_t{3}, size_t{5}}) {
+      for (size_t n : {size_t{1}, size_t{3}, size_t{17}, size_t{46}}) {
+        shapes.push_back({m, k, n});
+      }
+    }
+  }
+  const auto tiers = SupportedTiers();
+  Rng rng(112);
+  for (const MatShape& s : shapes) {
+    const auto a = RandomRowF64(&rng, s.m * s.k, -2.0, 2.0);
+    const auto bt = RandomRowF64(&rng, s.k * s.n, -1.5, 1.5);
+    std::vector<double> c_ref(s.m * s.n, -777.0);
+    simd::KernelsForTier(Tier::kScalar)
+        ->matmul_unfused_f64(a.data(), bt.data(), c_ref.data(), s.m, s.k, s.n);
+    for (Tier t : tiers) {
+      std::vector<double> c(s.m * s.n, -777.0);
+      simd::KernelsForTier(t)->matmul_unfused_f64(a.data(), bt.data(), c.data(),
+                                                  s.m, s.k, s.n);
+      for (size_t e = 0; e < c.size(); ++e) {
+        EXPECT_EQ(c[e], c_ref[e]) << simd::TierName(t) << " " << s.m << "x" << s.k
+                                  << "x" << s.n << " e=" << e;
+      }
+    }
+  }
+}
+
+TEST(BitIdentityTest, MatMulUnfusedF64RoundsEveryProduct) {
+  // c = (0 + 1·(-1)) + x·x with x = 1 + 2^-30. Rounding x·x drops its 2^-60
+  // term, so the unfused chain gives exactly 2^-29; an fma would keep it.
+  // Checked on every tier and at column positions in every block width
+  // (29 = 16 + 8 + 4 + 1).
+  const double x = 1.0 + 0x1p-30;
+  for (Tier t : SupportedTiers()) {
+    for (size_t n : {size_t{1}, size_t{4}, size_t{8}, size_t{16}, size_t{29}}) {
+      const std::vector<double> a = {1.0, x};
+      std::vector<double> bt(2 * n);
+      for (size_t j = 0; j < n; ++j) {
+        bt[j] = -1.0;
+        bt[n + j] = x;
+      }
+      std::vector<double> c(n, -777.0);
+      simd::KernelsForTier(t)->matmul_unfused_f64(a.data(), bt.data(), c.data(), 1,
+                                                  2, n);
+      for (size_t j = 0; j < n; ++j) {
+        EXPECT_EQ(c[j], 0x1p-29) << simd::TierName(t) << " n=" << n << " j=" << j;
       }
     }
   }
