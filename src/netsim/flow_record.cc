@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/netsim/link_params.h"
+
 namespace mocc {
 
 void FlowRecord::RecordMi(const MonitorReport& report) {
@@ -17,10 +19,9 @@ void FlowRecord::RecordMi(const MonitorReport& report) {
   mi_samples_.push_back(s);
 }
 
-void FlowRecord::RecordAck(double time_s, int64_t bits) {
+void FlowRecord::RecordAck(double time_s) {
   ack_times_.push_back(time_s);
-  ack_bits_.push_back(bits);
-  bits_acked += bits;
+  bits_acked += kDefaultPacketSizeBits;
   last_ack_time_s = time_s;
 }
 
@@ -34,13 +35,13 @@ double FlowRecord::AvgThroughputBps(double t0_s, double t1_s) const {
   if (t1_s <= t0_s) {
     return 0.0;
   }
-  int64_t bits = 0;
-  for (size_t i = 0; i < ack_times_.size(); ++i) {
-    if (ack_times_[i] >= t0_s && ack_times_[i] < t1_s) {
-      bits += ack_bits_[i];
+  int64_t acked = 0;
+  for (const double t : ack_times_) {
+    if (t >= t0_s && t < t1_s) {
+      ++acked;
     }
   }
-  return static_cast<double>(bits) / (t1_s - t0_s);
+  return static_cast<double>(acked * kDefaultPacketSizeBits) / (t1_s - t0_s);
 }
 
 std::vector<double> FlowRecord::BinnedThroughputMbps(double t0_s, double t1_s,
@@ -53,7 +54,7 @@ std::vector<double> FlowRecord::BinnedThroughputMbps(double t0_s, double t1_s,
     }
     const size_t b = static_cast<size_t>((ack_times_[i] - t0_s) / bin_s);
     if (b < bins) {
-      out[b] += static_cast<double>(ack_bits_[i]);
+      out[b] += static_cast<double>(kDefaultPacketSizeBits);
     }
   }
   for (auto& v : out) {

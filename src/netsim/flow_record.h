@@ -24,7 +24,8 @@ struct MiSample {
 class FlowRecord {
  public:
   void RecordMi(const MonitorReport& report);
-  void RecordAck(double time_s, int64_t bits);
+  // Logs one acknowledged data packet (kDefaultPacketSizeBits) at `time_s`.
+  void RecordAck(double time_s);
   void RecordDelivery(double time_s);
 
   const std::vector<MiSample>& mi_samples() const { return mi_samples_; }
@@ -64,7 +65,6 @@ class FlowRecord {
  private:
   std::vector<MiSample> mi_samples_;
   std::vector<double> ack_times_;
-  std::vector<int64_t> ack_bits_;
   std::vector<double> delivery_times_;
 };
 

@@ -74,6 +74,8 @@ int PacketNetwork::AddFlow(std::unique_ptr<CongestionControl> cc, FlowOptions op
   flow.options = std::move(options);
 
   const int id = static_cast<int>(flows_.size()) - 1;
+  [[maybe_unused]] const EventQueue::LaneId first_lane = events_.AddLanes(kLanesPerFlow);
+  assert(first_lane == kLanesPerFlow * static_cast<uint32_t>(id));
   Schedule(flow.options.start_time_s, EvType::kFlowStart, id);
   if (std::isfinite(flow.options.stop_time_s)) {
     Schedule(flow.options.stop_time_s, EvType::kFlowStop, id);
@@ -151,7 +153,17 @@ void PacketNetwork::Schedule(double time_s, EvType type, int flow_id, int64_t se
   ev.hop = hop;
   ev.is_ack = is_ack;
   ev.ecn = ecn;
-  events_.push(ev);
+  switch (type) {
+    case EvType::kAck:
+      events_.push(ev, kLanesPerFlow * static_cast<uint32_t>(flow_id));
+      return;
+    case EvType::kLossNotice:
+      events_.push(ev, kLanesPerFlow * static_cast<uint32_t>(flow_id) + 1);
+      return;
+    default:
+      events_.push(ev);
+      return;
+  }
 }
 
 void PacketNetwork::ScheduleLoss(int flow_id, int64_t seq, double send_time_s,
@@ -388,7 +400,10 @@ void PacketNetwork::HandleLinkDone(const SimEvent& ev) {
       if (flow.ack_path_len == 0) {
         const double t_ack =
             t_delivery + flow.reverse_delay_s + flow.options.extra_one_way_delay_s;
-        if (flow.defer_acks) {
+        // A deferred ACK joins the ring only in time order; one that arrives
+        // before the ring's tail is scheduled as an event.
+        if (flow.defer_acks && (flow.pending_acks.empty() ||
+                                t_ack >= flow.pending_acks.back().ack_time_s)) {
           PendingAck pending;
           pending.ack_time_s = t_ack;
           pending.send_time_s = ev.send_time_s;
@@ -479,7 +494,7 @@ void PacketNetwork::ProcessAck(Flow* flow, double ack_time_s, double send_time_s
     ++flow->mi_marked;
     ++flow->record.total_marked;
   }
-  flow->record.RecordAck(ack_time_s, kDefaultPacketSizeBits);
+  flow->record.RecordAck(ack_time_s);
   AckInfo ack;
   ack.send_time_s = send_time_s;
   ack.ack_time_s = ack_time_s;

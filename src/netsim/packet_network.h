@@ -22,7 +22,13 @@
 // order as the historical two-event form, so single-bottleneck episodes are
 // bit-identical to the pre-refactor engine — tests/golden_episode_test.cc holds
 // the committed proof traces), droptail admission is O(1) against the ring
-// occupancy, and flows live in one contiguous vector.
+// occupancy, and flows live in one contiguous vector. Each flow owns two event
+// lanes, one for its ACK arrivals and one for its loss notices: these per-flow
+// streams are scheduled almost always in time order, so they wait in their
+// lanes and only each lane's head sits in the heap (an arrival that would
+// break a lane's order — a delay spike ending, a shrinking srtt — goes to the
+// heap on its own). The dispatch sequence is the same (time, order) sequence
+// either way.
 #ifndef MOCC_SRC_NETSIM_PACKET_NETWORK_H_
 #define MOCC_SRC_NETSIM_PACKET_NETWORK_H_
 
@@ -185,8 +191,10 @@ class PacketNetwork {
     CcMode mode = CcMode::kRateBased;
     // True when the scheme opted out of per-ACK events (NeedsPerAckEvents()
     // false) and the reverse path is pure delay: ACK arrivals then queue in
-    // pending_acks (already time-sorted — FIFO path, constant reverse delay)
-    // and are applied at the flow's next event instead of through the heap.
+    // pending_acks and are applied at the flow's next event instead of through
+    // the heap. The ring stays time-sorted because an arrival earlier than its
+    // tail (a delay spike ending reorders a FIFO path's arrivals) is scheduled
+    // as a kAck event instead.
     bool defer_acks = false;
     RingBuffer<PendingAck> pending_acks;
     double reverse_delay_s = 0.0;  // pure-delay reverse path (one-way)
@@ -205,6 +213,10 @@ class PacketNetwork {
     int64_t mi_rtt_count = 0;
     int64_t mi_marked = 0;
   };
+
+  // Event lanes per flow: kAck events go to lane kLanesPerFlow * flow_id,
+  // kLossNotice events to the next one; every other event is standalone.
+  static constexpr uint32_t kLanesPerFlow = 2;
 
   void Schedule(double time_s, EvType type, int flow_id, int64_t seq = 0,
                 double send_time_s = 0.0, uint8_t hop = 0, uint8_t is_ack = 0,

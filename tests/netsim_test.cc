@@ -5,13 +5,17 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/netsim/cc_interface.h"
+#include "src/netsim/event_engine.h"
 #include "src/netsim/fluid_link.h"
 #include "src/netsim/link_params.h"
 #include "src/netsim/packet_network.h"
@@ -633,10 +637,20 @@ TEST(PacketNetworkTest, DeferredAckCoalescingMatchesPerAckEvents) {
   // A scheme that opts out of per-ACK events must produce the exact same record
   // as an identical scheme that keeps them (the lazy drain applies the same
   // values in the same per-flow order).
-  class OptOutFixedRateCc : public FixedRateCc {
+  class RecordingRateCc : public FixedRateCc {
    public:
-    using FixedRateCc::FixedRateCc;
-    bool NeedsPerAckEvents() const override { return false; }
+    RecordingRateCc(double rate_bps, bool per_ack_events)
+        : FixedRateCc(rate_bps), per_ack_events_(per_ack_events) {}
+    bool NeedsPerAckEvents() const override { return per_ack_events_; }
+    void OnAck(const AckInfo& ack) override { ack_times.push_back(ack.ack_time_s); }
+    void OnMonitorInterval(const MonitorReport& report) override {
+      reports.push_back(report);
+    }
+    std::vector<double> ack_times;
+    std::vector<MonitorReport> reports;
+
+   private:
+    bool per_ack_events_;
   };
   auto run = [](bool opt_out) {
     LinkParams p;
@@ -645,9 +659,7 @@ TEST(PacketNetworkTest, DeferredAckCoalescingMatchesPerAckEvents) {
     p.queue_capacity_pkts = 40;
     p.random_loss_rate = 0.01;
     PacketNetwork net(p, 51);
-    const int flow =
-        opt_out ? net.AddFlow(std::make_unique<OptOutFixedRateCc>(9e6))
-                : net.AddFlow(std::make_unique<FixedRateCc>(9e6));
+    const int flow = net.AddFlow(std::make_unique<RecordingRateCc>(9e6, !opt_out));
     net.Run(10.0);
     const FlowRecord& rec = net.record(flow);
     return std::vector<double>{
@@ -661,14 +673,64 @@ TEST(PacketNetworkTest, DeferredAckCoalescingMatchesPerAckEvents) {
   for (size_t i = 0; i < with_events.size(); ++i) {
     EXPECT_EQ(with_events[i], coalesced[i]) << "element " << i;
   }
+
+  // A delay spike (flaky-link's: +50 ms for 0.4 s every 2 s) reorders the
+  // FIFO path's ACK arrivals at the end of every spike: packets finishing
+  // serialization after it overtake those still on the stretched wire. The
+  // coalesced path must still apply every ACK at its own instant — every
+  // MonitorReport and the OnAck time sequence match the per-ACK path.
+  auto run_spiky = [](bool per_ack_events, std::vector<double>* ack_times,
+                      std::vector<MonitorReport>* reports) {
+    LinkParams p;
+    p.bandwidth_bps = 10e6;
+    p.one_way_delay_s = 0.02;
+    p.queue_capacity_pkts = 100;
+    NetworkTopology topology = NetworkTopology::SingleBottleneck(p);
+    topology.links[0].fault.delay_spike_period_s = 2.0;
+    topology.links[0].fault.delay_spike_duration_s = 0.4;
+    topology.links[0].fault.delay_spike_extra_s = 0.050;
+    PacketNetwork net(topology, 52);
+    FlowOptions options;
+    options.mi_fixed_duration_s = 0.030;
+    auto cc = std::make_unique<RecordingRateCc>(8e6, per_ack_events);
+    RecordingRateCc* recorder = cc.get();
+    net.AddFlow(std::move(cc), options);
+    net.Run(6.0);
+    *ack_times = recorder->ack_times;
+    *reports = recorder->reports;
+  };
+  std::vector<double> event_acks, coalesced_acks;
+  std::vector<MonitorReport> event_reports, coalesced_reports;
+  run_spiky(true, &event_acks, &event_reports);
+  run_spiky(false, &coalesced_acks, &coalesced_reports);
+  EXPECT_TRUE(std::is_sorted(event_acks.begin(), event_acks.end()));
+  EXPECT_EQ(event_acks, coalesced_acks);
+  ASSERT_EQ(event_reports.size(), coalesced_reports.size());
+  ASSERT_GT(event_reports.size(), 150u);
+  for (size_t i = 0; i < event_reports.size(); ++i) {
+    const MonitorReport& a = event_reports[i];
+    const MonitorReport& b = coalesced_reports[i];
+    EXPECT_EQ(a.start_time_s, b.start_time_s) << "report " << i;
+    EXPECT_EQ(a.duration_s, b.duration_s) << "report " << i;
+    EXPECT_EQ(a.packets_sent, b.packets_sent) << "report " << i;
+    EXPECT_EQ(a.packets_acked, b.packets_acked) << "report " << i;
+    EXPECT_EQ(a.packets_lost, b.packets_lost) << "report " << i;
+    EXPECT_EQ(a.send_rate_bps, b.send_rate_bps) << "report " << i;
+    EXPECT_EQ(a.throughput_bps, b.throughput_bps) << "report " << i;
+    EXPECT_EQ(a.avg_rtt_s, b.avg_rtt_s) << "report " << i;
+    EXPECT_EQ(a.min_rtt_s, b.min_rtt_s) << "report " << i;
+    EXPECT_EQ(a.loss_rate, b.loss_rate) << "report " << i;
+    EXPECT_EQ(a.packets_marked, b.packets_marked) << "report " << i;
+    EXPECT_EQ(a.ecn_rate, b.ecn_rate) << "report " << i;
+  }
 }
 
 TEST(FlowRecordTest, BinnedThroughputAndGaps) {
   FlowRecord rec;
   rec.keep_delivery_times = true;
-  rec.RecordAck(0.5, 12000);
-  rec.RecordAck(1.5, 12000);
-  rec.RecordAck(1.7, 12000);
+  rec.RecordAck(0.5);
+  rec.RecordAck(1.5);
+  rec.RecordAck(1.7);
   rec.RecordDelivery(0.4);
   rec.RecordDelivery(0.6);
   rec.RecordDelivery(1.0);
@@ -680,6 +742,126 @@ TEST(FlowRecordTest, BinnedThroughputAndGaps) {
   ASSERT_EQ(gaps.size(), 2u);
   EXPECT_NEAR(gaps[0], 0.2, 1e-9);
   EXPECT_NEAR(gaps[1], 0.4, 1e-9);
+}
+
+TEST(EventQueueTest, LanesPopTheSameSequenceAsALaneFreeQueue) {
+  // A seeded push/pop script over lane and standalone events. Lanes are fed
+  // mostly in time order, like the simulator's per-flow ACK and loss streams,
+  // with out-of-order admissions, equal-time ties (times on a 1 ms grid), and
+  // push-heavy / pop-heavy phases that drain lanes and refill them. The pops
+  // must follow a lane-free reference ordered by (time, order), payload
+  // included, and the heap may hold at most one key per non-empty lane plus
+  // the events scheduled standalone.
+  constexpr int kLanes = 6;
+  EventQueue queue;
+  ASSERT_EQ(queue.AddLanes(2), 0u);
+  ASSERT_EQ(queue.AddLanes(kLanes - 2), 2u);
+
+  struct Pending {
+    SimEvent ev;
+    int lane;      // -1: pushed standalone
+    bool in_lane;  // joined its lane (false: sorted before the lane's tail)
+  };
+  using Ordinal = std::pair<double, uint64_t>;
+  std::map<Ordinal, Pending> reference;
+  std::vector<int> in_lane_pending(kLanes, 0);
+  std::vector<Ordinal> lane_tail(kLanes, Ordinal{0.0, 0});
+  int standalone_pending = 0;
+
+  std::mt19937_64 rng(20260418);
+  auto grid_ms = [&rng](uint64_t span) { return static_cast<double>(rng() % span) * 1e-3; };
+  double now = 0.0;
+  uint64_t next_order = 0;
+  int out_of_order = 0, ties = 0, refills = 0, pops = 0;
+  for (int step = 0; step < 40000; ++step) {
+    const bool push_heavy = (step / 500) % 2 == 0;
+    const bool push = reference.empty() || rng() % 100 < (push_heavy ? 70u : 30u);
+    if (push) {
+      SimEvent ev{};
+      ev.order = next_order++;
+      ev.send_time_s = now;
+      ev.seq = static_cast<int64_t>(rng() % 100000);
+      ev.type = static_cast<uint8_t>(rng() % 9);
+      ev.hop = static_cast<uint8_t>(rng() % 8);
+      ev.is_ack = static_cast<uint8_t>(rng() % 2);
+      ev.ecn = static_cast<uint8_t>(rng() % 2);
+      const int lane = static_cast<int>(rng() % (kLanes + 1)) - 1;
+      ev.flow_id = lane;
+      if (lane < 0) {
+        ev.time_s = now + grid_ms(60);
+        queue.push(ev);
+        reference[{ev.time_s, ev.order}] = {ev, lane, false};
+        ++standalone_pending;
+      } else {
+        const size_t l = static_cast<size_t>(lane);
+        const bool lane_busy = in_lane_pending[l] > 0;
+        if (lane_busy && rng() % 8 == 0) {
+          // Anywhere in [now, tail]: before the tail, or tied with it.
+          const double span_ms = (lane_tail[l].first - now) * 1e3;
+          ev.time_s = now + grid_ms(static_cast<uint64_t>(span_ms) + 1);
+        } else {
+          ev.time_s = (lane_busy ? lane_tail[l].first : now) + grid_ms(4);
+        }
+        const Ordinal ordinal{ev.time_s, ev.order};
+        const bool joins = !lane_busy || !(ordinal < lane_tail[l]);
+        if (joins) {
+          if (!lane_busy && lane_tail[l].second != 0) {
+            ++refills;
+          }
+          if (lane_busy && ev.time_s == lane_tail[l].first) {
+            ++ties;
+          }
+          lane_tail[l] = ordinal;
+          ++in_lane_pending[l];
+        } else {
+          ++out_of_order;
+          ++standalone_pending;
+        }
+        queue.push(ev, static_cast<EventQueue::LaneId>(lane));
+        reference[ordinal] = {ev, lane, joins};
+      }
+    } else {
+      ASSERT_FALSE(queue.empty());
+      const auto first = reference.begin();
+      const Pending expected = first->second;
+      reference.erase(first);
+      const SimEvent got = queue.pop();
+      ++pops;
+      ASSERT_EQ(got.time_s, expected.ev.time_s) << "pop " << pops;
+      ASSERT_EQ(got.order, expected.ev.order) << "pop " << pops;
+      ASSERT_EQ(got.send_time_s, expected.ev.send_time_s) << "pop " << pops;
+      ASSERT_EQ(got.seq, expected.ev.seq) << "pop " << pops;
+      ASSERT_EQ(got.flow_id, expected.ev.flow_id) << "pop " << pops;
+      ASSERT_EQ(got.type, expected.ev.type) << "pop " << pops;
+      ASSERT_EQ(got.hop, expected.ev.hop) << "pop " << pops;
+      ASSERT_EQ(got.is_ack, expected.ev.is_ack) << "pop " << pops;
+      ASSERT_EQ(got.ecn, expected.ev.ecn) << "pop " << pops;
+      now = got.time_s;
+      if (expected.in_lane) {
+        --in_lane_pending[static_cast<size_t>(expected.lane)];
+      } else {
+        --standalone_pending;
+      }
+    }
+    int busy_lanes = 0;
+    for (const int n : in_lane_pending) {
+      busy_lanes += n > 0 ? 1 : 0;
+    }
+    ASSERT_LE(queue.heap_size(), static_cast<size_t>(busy_lanes + standalone_pending))
+        << "step " << step;
+    ASSERT_EQ(queue.empty(), reference.empty()) << "step " << step;
+  }
+  while (!reference.empty()) {
+    const SimEvent got = queue.pop();
+    EXPECT_EQ(got.order, reference.begin()->second.ev.order);
+    reference.erase(reference.begin());
+  }
+  EXPECT_TRUE(queue.empty());
+  // The script exercised what it claims to.
+  EXPECT_GT(out_of_order, 100);
+  EXPECT_GT(ties, 100);
+  EXPECT_GT(refills, 100);
+  EXPECT_GT(pops, 10000);
 }
 
 }  // namespace
