@@ -120,10 +120,9 @@ void BM_BbrTick(benchmark::State& state) {
 BENCHMARK(BM_BbrTick);
 
 // ---------------------------------------------------------------------------
-// Policy-inference paths, before/after: the seed's batched single-observation
-// path (fresh allocations per layer) vs. the allocation-free batched path vs.
-// the fused single-row fast path. Inference cost does not depend on the weight
-// values, so these run on untrained models (no zoo required).
+// Policy-inference paths: the allocation-free batched path vs. the fused
+// single-row fast path, in double and float32. Inference cost does not depend
+// on the weight values, so these run on untrained models (no zoo required).
 // ---------------------------------------------------------------------------
 
 std::vector<double> InferenceObservation(size_t dim) {
@@ -134,16 +133,6 @@ std::vector<double> InferenceObservation(size_t dim) {
   }
   return obs;
 }
-
-void BM_MoccInferenceSeedBatchedPath(benchmark::State& state) {
-  MoccConfig config;
-  SeedModelReplica replica(config);
-  const std::vector<double> obs = InferenceObservation(config.ObsDim());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(replica.ForwardSeedStyle(obs));
-  }
-}
-BENCHMARK(BM_MoccInferenceSeedBatchedPath);
 
 void BM_MoccInferenceBatchedPath(benchmark::State& state) {
   MoccConfig config;
@@ -190,43 +179,7 @@ void BM_MoccInferenceFastRowFloat32(benchmark::State& state) {
 }
 BENCHMARK(BM_MoccInferenceFastRowFloat32);
 
-// Measures the three inference paths with plain wall-clock loops and emits
-// BENCH_fig17_overhead.json so the perf trajectory is tracked across PRs.
-void EmitOverheadJson() {
-  MoccConfig config;
-  const InferencePathRates rates = MeasureInferencePaths(config);
-  const double seed_ops = rates.seed_batched_ops_per_sec;
-  const double row_ops = rates.fast_row_ops_per_sec;
-  const double f32_ops = rates.fast_row_f32_ops_per_sec;
-
-  BenchJson json("fig17_overhead");
-  json.Add("inference_seed_batched_ops_per_sec", seed_ops);
-  json.Add("inference_batched_ops_per_sec", rates.batched_ops_per_sec);
-  json.Add("inference_fast_row_ops_per_sec", row_ops);
-  json.Add("inference_fast_row_f32_ops_per_sec", f32_ops);
-  json.Add("fast_row_speedup_vs_seed_batched", seed_ops > 0.0 ? row_ops / seed_ops : 0.0);
-  json.Add("fast_row_speedup_vs_batched",
-           rates.batched_ops_per_sec > 0.0 ? row_ops / rates.batched_ops_per_sec : 0.0);
-  json.Add("f32_row_speedup_vs_double_row", row_ops > 0.0 ? f32_ops / row_ops : 0.0);
-  json.Write();
-  std::fprintf(stderr,
-               "[fig17] single-obs inference ops/sec: seed batched %.0f, batched %.0f, "
-               "fast row %.0f, fast row f32 %.0f (row vs seed: %.1fx; f32 vs row: %.2fx)\n",
-               seed_ops, rates.batched_ops_per_sec, row_ops, f32_ops,
-               seed_ops > 0.0 ? row_ops / seed_ops : 0.0,
-               row_ops > 0.0 ? f32_ops / row_ops : 0.0);
-}
-
 }  // namespace
 }  // namespace mocc
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  mocc::EmitOverheadJson();
-  return 0;
-}
+BENCHMARK_MAIN();

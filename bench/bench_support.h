@@ -102,55 +102,6 @@ class BenchJson {
 // measured calls/second.
 double MeasureOpsPerSec(const std::function<void()>& fn, double min_seconds = 0.2);
 
-// Faithful re-implementation of the seed's batched forward chain — fresh matrix
-// allocations per layer, cached input/output copies, scalar libm tanh, and the
-// branchy triple-loop matmul — used as the "before" reference in the overhead
-// benches. Hidden layers are tanh; the output layer uses `output_activation`
-// (the §5 policy architecture).
-Matrix SeedStyleMlpForward(Mlp* net, const Matrix& x,
-                           Activation output_activation = Activation::kIdentity);
-
-// Seed PreferenceActorCritic::ForwardHead emulation over replica PN/trunk nets:
-// fresh slice/concat matrices per call plus the seed-style per-layer forwards.
-Matrix SeedStylePreferenceHeadForward(Mlp* pn, Mlp* trunk, const Matrix& obs,
-                                      size_t weight_dim, size_t pn_out_dim);
-
-// Replica of the Figure-3 model as raw PN/trunk MLPs, for the seed-path emulation
-// (the real model's sub-networks are private; inference cost is weight-independent,
-// so untrained replicas measure the same thing).
-struct SeedModelReplica {
-  explicit SeedModelReplica(const MoccConfig& config);
-
-  // Full seed-style actor+critic single-observation forward; returns mean+value.
-  double ForwardSeedStyle(const std::vector<double>& obs);
-
-  Rng rng;
-  Mlp actor_pn;
-  Mlp actor_trunk;
-  Mlp critic_pn;
-  Mlp critic_trunk;
-  size_t weight_dim;
-  size_t pn_out;
-};
-
-// Single-observation inference throughput of the policy-inference paths: the
-// emulated seed batched path, the current allocation-free batched path, the
-// fused single-row fast path, the float32 deployment replica of the same
-// single-row pass (src/rl/inference_policy.h), and the PR-7-era auto-vectorized
-// float32 row rebuilt in-binary (the explicit-SIMD speedup gate's denominator —
-// see the replica in bench_support.cc). Used by bench_fig17_overhead and
-// bench_report so the cross-PR JSON metrics stay comparable.
-struct InferencePathRates {
-  double seed_batched_ops_per_sec = 0.0;
-  double batched_ops_per_sec = 0.0;
-  double fast_row_ops_per_sec = 0.0;
-  double fast_row_f32_ops_per_sec = 0.0;
-  double autovec_row_f32_ops_per_sec = 0.0;
-  // The int8 quantized replica of the same single-row pass (--precision int8).
-  double int8_row_ops_per_sec = 0.0;
-};
-InferencePathRates MeasureInferencePaths(const MoccConfig& config);
-
 }  // namespace mocc
 
 #endif  // MOCC_BENCH_BENCH_SUPPORT_H_

@@ -16,7 +16,7 @@
 //  3. Task i writes only to slot i of the result vector.
 // Under this contract ParallelFor(n, fn) produces bit-identical results for any
 // thread count, including the serial fallback (pool size 1), regardless of OS
-// scheduling. PpoTrainer::CollectRolloutsParallel and the offline trainer follow it.
+// scheduling. PpoTrainer::CollectSourcesParallel and the offline trainer follow it.
 #ifndef MOCC_SRC_COMMON_THREAD_POOL_H_
 #define MOCC_SRC_COMMON_THREAD_POOL_H_
 

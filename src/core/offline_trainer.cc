@@ -43,23 +43,19 @@ OfflineTrainer::OfflineTrainer(PreferenceActorCritic* model, const OfflineTrainC
            }()),
       mix_rng_(config.seed * 31 + 5) {
   assert(model_ != nullptr);
-  const int n_envs = std::max(1, config_.parallel_envs);
-  if (config_.scenarios.empty()) {
-    for (int i = 0; i < n_envs; ++i) {
-      envs_.push_back(std::make_unique<CcEnv>(config_.mocc.MakeEnvConfig(),
-                                              config_.seed * 977 + 13 * i + 1));
-    }
-    return;
-  }
-  // Scenario-sampled training: slot i runs scenarios[i % S]; every slot gets its own
-  // deterministic seed so collection is reproducible in any execution order. At least
-  // one slot per scenario, so a scenario list longer than parallel_envs is never
-  // silently truncated.
-  const int n_slots =
-      std::max(n_envs, static_cast<int>(config_.scenarios.size()));
+  // Slot i runs scenarios[i % S]; every slot gets its own deterministic seed so
+  // collection is reproducible in any execution order. At least one slot per
+  // scenario, so a scenario list longer than parallel_envs is never silently
+  // truncated. With no scenarios every slot runs a default Scenario: a CcEnv on
+  // the sampled Table-3 training link (the "sampled-link" catalog entry).
+  const Scenario sampled_link;
+  const int n_slots = std::max(std::max(1, config_.parallel_envs),
+                               static_cast<int>(config_.scenarios.size()));
   for (int i = 0; i < n_slots; ++i) {
     const Scenario& scenario =
-        config_.scenarios[static_cast<size_t>(i) % config_.scenarios.size()];
+        config_.scenarios.empty()
+            ? sampled_link
+            : config_.scenarios[static_cast<size_t>(i) % config_.scenarios.size()];
     const uint64_t seed = config_.seed * 977 + 13 * i + 1;
     EnvSlot slot;
     if (scenario.IsMultiFlow()) {
@@ -92,7 +88,7 @@ void OfflineTrainer::SetSlotObjective(const EnvSlot& slot, const WeightVector& w
 
 PpoStats OfflineTrainer::RunScenarioIteration(const std::vector<WeightVector>& objectives) {
   assert(!objectives.empty());
-  // Every objective in the batch must be collected (the legacy single-env path loops
+  // Every objective in the batch must be collected (the serial one-env path loops
   // over all of them; dropping the tail would e.g. disable the traversal phase's
   // retention mixing). With fewer slots than objectives, collection runs in waves —
   // each wave re-assigns objectives round-robin and collects all slots in parallel —
@@ -138,34 +134,20 @@ PpoStats OfflineTrainer::RunScenarioIteration(const std::vector<WeightVector>& o
 
 PpoStats OfflineTrainer::RunIteration(const std::vector<WeightVector>& objectives) {
   assert(!objectives.empty());
-  if (!slots_.empty()) {
+  if (!config_.scenarios.empty() || slots_.size() > 1) {
     return RunScenarioIteration(objectives);
   }
-  const int total_steps = ppo_.config().rollout_steps;
-  if (envs_.size() == 1) {
-    const int steps_each =
-        std::max(64, total_steps / static_cast<int>(objectives.size()));
-    std::vector<RolloutBuffer> buffers;
-    buffers.reserve(objectives.size());
-    for (const WeightVector& w : objectives) {
-      envs_[0]->SetObjective(w);
-      buffers.push_back(ppo_.CollectRollout(envs_[0].get(), steps_each));
-    }
-    std::vector<const RolloutBuffer*> ptrs;
-    for (const auto& b : buffers) {
-      ptrs.push_back(&b);
-    }
-    return ppo_.Update(ptrs);
+  // One sampled-link env: collect every objective serially, drawing from the
+  // trainer's own Rng stream.
+  CcEnv* env = slots_[0].single;
+  const int steps_each =
+      std::max(64, ppo_.config().rollout_steps / static_cast<int>(objectives.size()));
+  std::vector<RolloutBuffer> buffers;
+  buffers.reserve(objectives.size());
+  for (const WeightVector& w : objectives) {
+    env->SetObjective(w);
+    buffers.push_back(ppo_.CollectRollout(env, steps_each));
   }
-  // Parallel rollout collection: objectives are assigned to environments round-robin.
-  std::vector<Env*> raw;
-  raw.reserve(envs_.size());
-  for (size_t i = 0; i < envs_.size(); ++i) {
-    envs_[i]->SetObjective(objectives[i % objectives.size()]);
-    raw.push_back(envs_[i].get());
-  }
-  const int steps_each = std::max(64, total_steps / static_cast<int>(envs_.size()));
-  std::vector<RolloutBuffer> buffers = ppo_.CollectRolloutsParallel(raw, steps_each);
   std::vector<const RolloutBuffer*> ptrs;
   for (const auto& b : buffers) {
     ptrs.push_back(&b);
@@ -250,43 +232,24 @@ bool OfflineTrainer::WriteCheckpoint(const OfflineTrainResult& result) const {
 }
 
 void OfflineTrainer::SerializeEnvStates(BinaryWriter* w) const {
-  if (!slots_.empty()) {
-    w->WriteU64(slots_.size());
-    for (const EnvSlot& slot : slots_) {
-      if (slot.single != nullptr) {
-        slot.single->SerializeState(w);
-      } else {
-        slot.multi->SerializeState(w);
-      }
+  w->WriteU64(slots_.size());
+  for (const EnvSlot& slot : slots_) {
+    if (slot.single != nullptr) {
+      slot.single->SerializeState(w);
+    } else {
+      slot.multi->SerializeState(w);
     }
-    return;
-  }
-  w->WriteU64(envs_.size());
-  for (const auto& env : envs_) {
-    env->SerializeState(w);
   }
 }
 
 bool OfflineTrainer::DeserializeEnvStates(BinaryReader* r) {
-  const uint64_t n = r->ReadU64();
-  if (!slots_.empty()) {
-    if (n != slots_.size()) {
-      return false;
-    }
-    for (EnvSlot& slot : slots_) {
-      const bool ok = slot.single != nullptr ? slot.single->DeserializeState(r)
-                                             : slot.multi->DeserializeState(r);
-      if (!ok) {
-        return false;
-      }
-    }
-    return r->ok();
-  }
-  if (n != envs_.size()) {
+  if (r->ReadU64() != slots_.size()) {
     return false;
   }
-  for (auto& env : envs_) {
-    if (!env->DeserializeState(r)) {
+  for (EnvSlot& slot : slots_) {
+    const bool ok = slot.single != nullptr ? slot.single->DeserializeState(r)
+                                           : slot.multi->DeserializeState(r);
+    if (!ok) {
       return false;
     }
   }

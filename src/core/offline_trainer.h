@@ -6,12 +6,14 @@
 // training, and two-phase training with parallel (multi-environment, multi-threaded)
 // rollout collection.
 //
-// With parallel_envs > 1, rollouts are collected concurrently on the shared
-// ThreadPool through PpoTrainer::CollectRolloutsParallel. Every environment is
-// constructed with its own deterministic seed and every collection round derives
-// per-env Rng streams on the trainer thread (determinism contract in
-// src/common/thread_pool.h), so a training run's reward curve and final weights
-// are bit-reproducible for a fixed config.seed, regardless of core count.
+// With more than one environment slot (parallel_envs > 1 or any scenario list),
+// rollouts are collected concurrently on the shared ThreadPool through
+// PpoTrainer::CollectSourcesParallel, in waves until every objective of the
+// iteration is collected. Every environment is constructed with its own
+// deterministic seed and every collection round derives per-env Rng streams on the
+// trainer thread (determinism contract in src/common/thread_pool.h), so a training
+// run's reward curve and final weights are bit-reproducible for a fixed
+// config.seed, regardless of core count.
 #ifndef MOCC_SRC_CORE_OFFLINE_TRAINER_H_
 #define MOCC_SRC_CORE_OFFLINE_TRAINER_H_
 
@@ -144,11 +146,8 @@ class OfflineTrainer {
   // Landmark grid of this configuration (ω objectives).
   const std::vector<WeightVector>& landmarks() const { return landmarks_; }
 
-  // Environment slots actually allocated: max(parallel_envs, scenarios.size()) under
-  // scenario training, parallel_envs otherwise.
-  int slot_count() const {
-    return static_cast<int>(slots_.empty() ? envs_.size() : slots_.size());
-  }
+  // Environment slots actually allocated: max(1, parallel_envs, scenarios.size()).
+  int slot_count() const { return static_cast<int>(slots_.size()); }
 
   PpoTrainer& ppo() { return ppo_; }
 
@@ -165,8 +164,9 @@ class OfflineTrainer {
   };
 
   void SetSlotObjective(const EnvSlot& slot, const WeightVector& w);
-  // The scenario-training iteration: every slot collects (in parallel, deterministic)
-  // and all per-flow buffers join one update.
+  // The multi-slot iteration: every slot collects (in parallel, deterministic), in
+  // waves until every objective is collected, and all per-flow buffers join one
+  // update.
   PpoStats RunScenarioIteration(const std::vector<WeightVector>& objectives);
 
   // Checkpoint payload ("MOCCCKPT"): config fingerprint + counters + reward curve +
@@ -192,7 +192,7 @@ class OfflineTrainer {
   PpoTrainer ppo_;
   std::vector<std::unique_ptr<CcEnv>> envs_;
   std::vector<std::unique_ptr<MultiFlowCcEnv>> multi_envs_;
-  std::vector<EnvSlot> slots_;  // non-empty iff config_.scenarios is non-empty
+  std::vector<EnvSlot> slots_;  // views into envs_ / multi_envs_, in slot order
   Rng mix_rng_;
 };
 

@@ -62,7 +62,6 @@ class CcEnv : public Env {
 
   // Pins the environment to one specific link instead of sampling per episode.
   void SetFixedLink(const LinkParams& params) { fixed_link_ = params; }
-  void ClearFixedLink() { fixed_link_.reset(); }
 
   // Installs a bandwidth trace applied after each Reset (for trace-driven workloads).
   //

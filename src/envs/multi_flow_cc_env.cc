@@ -131,10 +131,6 @@ int MultiFlowCcEnv::ActiveFlowCount() const {
   return std::max(1, active);
 }
 
-double MultiFlowCcEnv::FairShareBps() const {
-  return current_bandwidth_bps() / static_cast<double>(ActiveFlowCount());
-}
-
 double MultiFlowCcEnv::agent_rate_bps(int agent) const {
   return agent_ccs_[static_cast<size_t>(agent)]->rate_bps();
 }

@@ -248,7 +248,6 @@ class MultiFlowCcEnv : public VectorEnv {
 
  private:
   std::vector<double> BuildObservation(int agent) const;
-  double FairShareBps() const;
   // Applies the plan's fixed/sampled weights for a fresh episode and rewinds the
   // switch schedule.
   void ApplyObjectivePlanForEpisode();

@@ -100,20 +100,6 @@ void DenseLayerT<T>::ForwardRow(const T* x, T* y) const {
 }
 
 template <typename T>
-MatrixT<T> DenseLayerT<T>::Forward(const MatrixT<T>& x) {
-  cached_input_.CopyFrom(x);
-  ForwardInto(cached_input_, &cached_output_);
-  return cached_output_;
-}
-
-template <typename T>
-MatrixT<T> DenseLayerT<T>::Backward(const MatrixT<T>& grad_out) {
-  MatrixT<T> grad_in;
-  BackwardInto(grad_out, &grad_in);
-  return grad_in;
-}
-
-template <typename T>
 void DenseLayerT<T>::ZeroGrad() {
   grad_weights_.Fill(T(0));
   grad_bias_.Fill(T(0));

@@ -94,10 +94,6 @@ class DenseLayerT {
   // in_dim() elements. Pure (no caching); bit-for-bit equal to a 1-row ForwardInto.
   void ForwardRow(const T* x, T* y) const;
 
-  // Legacy allocating wrappers around the Into paths.
-  MatrixT<T> Forward(const MatrixT<T>& x);
-  MatrixT<T> Backward(const MatrixT<T>& grad_out);
-
   void ZeroGrad();
   std::vector<ParamRefT<T>> Params();
 
@@ -126,9 +122,7 @@ class DenseLayerT {
   const MatrixT<T>* fwd_input_ = nullptr;
   const MatrixT<T>* fwd_output_ = nullptr;
   // Workspaces (capacity reused across calls).
-  MatrixT<T> dpre_;          // grad wrt pre-activation
-  MatrixT<T> cached_input_;  // legacy Forward staging
-  MatrixT<T> cached_output_;
+  MatrixT<T> dpre_;  // grad wrt pre-activation
 };
 
 // Fully-connected network: a stack of DenseLayers.

@@ -22,22 +22,6 @@ double PpoTrainer::EntropyCoef() const {
   return config_.entropy_start + frac * (config_.entropy_end - config_.entropy_start);
 }
 
-double PpoTrainer::SampleAction(const std::vector<double>& obs, double* log_prob,
-                                double* value) {
-  double mean = 0.0;
-  double v = 0.0;
-  model_->ForwardRow(obs, &mean, &v);
-  const double std = std::exp(model_->log_std());
-  const double action = rng_.Normal(mean, std);
-  if (log_prob != nullptr) {
-    *log_prob = GaussianLogProb(action, mean, std);
-  }
-  if (value != nullptr) {
-    *value = v;
-  }
-  return action;
-}
-
 RolloutBuffer PpoTrainer::CollectWith(ActorCritic* model, Env* env, int steps, Rng* rng) {
   RolloutBuffer buffer;
   buffer.Reserve(static_cast<size_t>(steps));
@@ -158,8 +142,9 @@ std::vector<RolloutBuffer> PpoTrainer::CollectSourcesParallel(
   std::vector<Rng> rngs;
   clones.reserve(sources.size());
   rngs.reserve(sources.size());
-  // As in CollectRolloutsParallel: clones and Rng streams derived on the calling
-  // thread, in source order (determinism contract of src/common/thread_pool.h).
+  // Clones and Rng streams are derived here, on the calling thread, in source
+  // order: this is what makes the collected data independent of worker
+  // scheduling (see the determinism contract in src/common/thread_pool.h).
   for (size_t i = 0; i < sources.size(); ++i) {
     clones.push_back(model_->Clone());
     rngs.emplace_back(rng_.NextU64());
@@ -184,35 +169,6 @@ std::vector<RolloutBuffer> PpoTrainer::CollectSourcesParallel(
   for (std::vector<RolloutBuffer>& group : per_source) {
     for (RolloutBuffer& buffer : group) {
       buffers.push_back(std::move(buffer));
-    }
-  }
-  return buffers;
-}
-
-std::vector<RolloutBuffer> PpoTrainer::CollectRolloutsParallel(const std::vector<Env*>& envs,
-                                                               int steps_each) {
-  std::vector<RolloutBuffer> buffers(envs.size());
-  std::vector<std::unique_ptr<ActorCritic>> clones;
-  std::vector<Rng> rngs;
-  clones.reserve(envs.size());
-  rngs.reserve(envs.size());
-  // Clones and Rng streams are derived here, on the calling thread, in env order:
-  // this is what makes the collected data independent of worker scheduling (see the
-  // determinism contract in src/common/thread_pool.h).
-  for (size_t i = 0; i < envs.size(); ++i) {
-    clones.push_back(model_->Clone());
-    rngs.emplace_back(rng_.NextU64());
-  }
-  auto collect_one = [&](int i) {
-    buffers[static_cast<size_t>(i)] =
-        CollectWith(clones[static_cast<size_t>(i)].get(), envs[static_cast<size_t>(i)],
-                    steps_each, &rngs[static_cast<size_t>(i)]);
-  };
-  if (parallel_collection_) {
-    ThreadPool::Shared().ParallelFor(static_cast<int>(envs.size()), collect_one);
-  } else {
-    for (int i = 0; i < static_cast<int>(envs.size()); ++i) {
-      collect_one(i);
     }
   }
   return buffers;
@@ -369,18 +325,6 @@ PpoStats PpoTrainer::Update(const std::vector<const RolloutBuffer*>& buffers) {
 PpoStats PpoTrainer::TrainIteration(Env* env) {
   RolloutBuffer buffer = CollectRollout(env, config_.rollout_steps);
   return Update({&buffer});
-}
-
-PpoStats PpoTrainer::TrainIterationParallel(const std::vector<Env*>& envs) {
-  const int steps_each =
-      std::max(1, config_.rollout_steps / std::max<int>(1, static_cast<int>(envs.size())));
-  std::vector<RolloutBuffer> buffers = CollectRolloutsParallel(envs, steps_each);
-  std::vector<const RolloutBuffer*> ptrs;
-  ptrs.reserve(buffers.size());
-  for (const auto& b : buffers) {
-    ptrs.push_back(&b);
-  }
-  return Update(ptrs);
 }
 
 }  // namespace mocc

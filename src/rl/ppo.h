@@ -65,15 +65,6 @@ class PpoTrainer {
   // resetting the environment at the start and on episode end. GAE targets are filled.
   RolloutBuffer CollectRollout(Env* env, int steps);
 
-  // Collects one rollout from each environment concurrently on the shared
-  // ThreadPool, each worker acting on a cloned model with its own Rng stream (the
-  // paper's Ray/RLlib-style parallel training). Streams are seeded on the calling
-  // thread in env order, so the result is bit-identical to serial collection over
-  // the same envs and independent of thread count/scheduling (the determinism
-  // contract of src/common/thread_pool.h).
-  std::vector<RolloutBuffer> CollectRolloutsParallel(const std::vector<Env*>& envs,
-                                                     int steps_each);
-
   // Collects per-agent rollouts from one synchronized multi-agent environment: every
   // env step, the current policy acts once per ACTIVE agent (agent-order draws from
   // one Rng stream; agents whose flow has not arrived in a staggered schedule are
@@ -88,17 +79,19 @@ class PpoTrainer {
     VectorEnv* vec = nullptr;
   };
 
-  // Collects one rollout per source concurrently on the shared ThreadPool (scenario
-  // training mixes single-flow and shared-bottleneck environments in one iteration).
-  // Follows the same determinism contract as CollectRolloutsParallel: per-source
-  // model clones and Rng streams are derived on the calling thread in source order,
-  // so the result is bit-identical to serial collection. Returns the buffers
-  // flattened in source order — one per Env source, NumAgents() per VectorEnv
-  // source.
+  // Collects one rollout per source concurrently on the shared ThreadPool, each
+  // worker acting on a cloned model with its own Rng stream (the paper's
+  // Ray/RLlib-style parallel training; scenario training mixes single-flow and
+  // shared-bottleneck environments in one iteration). Clones and Rng streams are
+  // derived on the calling thread in source order, so the result is bit-identical
+  // to serial collection over the same sources and independent of thread
+  // count/scheduling (the determinism contract of src/common/thread_pool.h).
+  // Returns the buffers flattened in source order — one per Env source,
+  // NumAgents() per VectorEnv source.
   std::vector<RolloutBuffer> CollectSourcesParallel(
       const std::vector<RolloutSource>& sources, int steps_each);
 
-  // When false, CollectRolloutsParallel runs its per-env tasks sequentially on the
+  // When false, CollectSourcesParallel runs its per-source tasks sequentially on the
   // calling thread instead of the pool (same results; used to verify determinism).
   void set_parallel_collection(bool enabled) { parallel_collection_ = enabled; }
   bool parallel_collection() const { return parallel_collection_; }
@@ -109,9 +102,6 @@ class PpoTrainer {
 
   // Convenience: CollectRollout + Update.
   PpoStats TrainIteration(Env* env);
-
-  // Parallel convenience: CollectRolloutsParallel + joint Update.
-  PpoStats TrainIterationParallel(const std::vector<Env*>& envs);
 
   // Current entropy coefficient (decayed by iteration count).
   double EntropyCoef() const;
@@ -131,9 +121,6 @@ class PpoTrainer {
   const Rng& rng() const { return rng_; }
   AdamOptimizer* mutable_optimizer() { return &optimizer_; }
   const AdamOptimizer& optimizer() const { return optimizer_; }
-
-  // Samples a ~ N(mean(obs), std²) from the current policy.
-  double SampleAction(const std::vector<double>& obs, double* log_prob, double* value);
 
  private:
   RolloutBuffer CollectWith(ActorCritic* model, Env* env, int steps, Rng* rng);

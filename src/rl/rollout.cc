@@ -10,12 +10,6 @@ constexpr double kPi = 3.14159265358979323846;
 
 }  // namespace
 
-void RolloutBuffer::Clear() {
-  transitions.clear();
-  advantages.clear();
-  returns.clear();
-}
-
 void RolloutBuffer::Reserve(size_t steps) {
   transitions.reserve(steps);
   advantages.reserve(steps);

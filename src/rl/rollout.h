@@ -24,7 +24,6 @@ struct RolloutBuffer {
   std::vector<double> advantages;
   std::vector<double> returns;
 
-  void Clear();
   // Preallocates storage for `steps` transitions and their GAE targets so
   // collection and ComputeGae never reallocate mid-rollout.
   void Reserve(size_t steps);

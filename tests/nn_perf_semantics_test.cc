@@ -5,6 +5,7 @@
 // reproducible across runs under a fixed seed.
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "src/core/offline_trainer.h"
 #include "src/core/preference_model.h"
 #include "src/envs/env.h"
+#include "src/envs/scenario.h"
 #include "src/nn/matrix.h"
 #include "src/nn/mlp.h"
 #include "src/rl/actor_critic.h"
@@ -268,16 +270,16 @@ TEST(ParallelRolloutTest, PoolAndSerialCollectionAreBitIdentical) {
 
   std::vector<std::unique_ptr<QuadEnv>> envs1;
   std::vector<std::unique_ptr<QuadEnv>> envs2;
-  std::vector<Env*> raw1;
-  std::vector<Env*> raw2;
+  std::vector<PpoTrainer::RolloutSource> sources1;
+  std::vector<PpoTrainer::RolloutSource> sources2;
   for (int i = 0; i < 4; ++i) {
     envs1.push_back(std::make_unique<QuadEnv>(1.5));
     envs2.push_back(std::make_unique<QuadEnv>(1.5));
-    raw1.push_back(envs1.back().get());
-    raw2.push_back(envs2.back().get());
+    sources1.push_back({envs1.back().get(), nullptr});
+    sources2.push_back({envs2.back().get(), nullptr});
   }
-  const auto buffers_parallel = parallel.CollectRolloutsParallel(raw1, 64);
-  const auto buffers_serial = serial.CollectRolloutsParallel(raw2, 64);
+  const auto buffers_parallel = parallel.CollectSourcesParallel(sources1, 64);
+  const auto buffers_serial = serial.CollectSourcesParallel(sources2, 64);
   ASSERT_EQ(buffers_parallel.size(), buffers_serial.size());
   for (size_t e = 0; e < buffers_parallel.size(); ++e) {
     const RolloutBuffer& bp = buffers_parallel[e];
@@ -320,6 +322,40 @@ TEST(ParallelRolloutTest, ParallelEnvTrainingIsReproducibleAcrossRuns) {
   }
   std::vector<double> obs(config.mocc.ObsDim(), 0.1);
   EXPECT_EQ(model1->ActionMean(obs), model2->ActionMean(obs));
+}
+
+TEST(ParallelRolloutTest, MultiEnvTrainingCollectsEveryObjective) {
+  // n envs with no scenario list must train exactly like the scenario list
+  // {sampled-link} at n slots, which builds the same CcEnv in every slot: both
+  // collect every objective of a batch, in waves when it has more objectives
+  // than slots (3 bootstrap pivots; 1 + 3 mixed objectives per traversal visit).
+  std::string error;
+  const auto sampled_link = ScenarioRegistry::Global().ResolveList("sampled-link", &error);
+  ASSERT_TRUE(sampled_link.has_value()) << error;
+  auto run = [](const OfflineTrainConfig& config) {
+    Rng rng(config.seed);
+    auto model = std::make_shared<PreferenceActorCritic>(config.mocc, &rng);
+    OfflineTrainer trainer(model.get(), config);
+    const OfflineTrainResult result = trainer.TrainTwoPhase();
+    return std::make_pair(result.reward_curve, model);
+  };
+  for (const int n : {2, 3, 4}) {
+    OfflineTrainConfig config;
+    config.seed = 11;
+    config.bootstrap_iterations = 2;
+    config.traversal_rounds = 1;
+    config.parallel_envs = n;
+    config.mocc.landmark_step_divisor = 3;
+    const auto [plain_curve, plain_model] = run(config);
+    config.scenarios = *sampled_link;
+    const auto [scenario_curve, scenario_model] = run(config);
+    ASSERT_EQ(plain_curve.size(), scenario_curve.size()) << n << " envs";
+    for (size_t i = 0; i < plain_curve.size(); ++i) {
+      EXPECT_EQ(plain_curve[i], scenario_curve[i]) << n << " envs, iteration " << i;
+    }
+    std::vector<double> obs(config.mocc.ObsDim(), 0.1);
+    EXPECT_EQ(plain_model->ActionMean(obs), scenario_model->ActionMean(obs)) << n << " envs";
+  }
 }
 
 }  // namespace

@@ -249,7 +249,8 @@ TEST(PpoTest, ParallelRolloutsMatchConfiguredSizes) {
   QuadEnv e1(0.0);
   QuadEnv e2(1.0);
   QuadEnv e3(2.0);
-  auto buffers = trainer.CollectRolloutsParallel({&e1, &e2, &e3}, 100);
+  auto buffers =
+      trainer.CollectSourcesParallel({{&e1, nullptr}, {&e2, nullptr}, {&e3, nullptr}}, 100);
   ASSERT_EQ(buffers.size(), 3u);
   for (const auto& b : buffers) {
     EXPECT_EQ(b.size(), 100u);
