@@ -192,4 +192,57 @@ double MeasureOpsPerSec(const std::function<void()>& fn, double min_seconds) {
   return elapsed > 0.0 ? static_cast<double>(calls) / elapsed : 0.0;
 }
 
+namespace {
+
+double TimeCalls(const std::function<void()>& fn, int64_t calls) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point start = Clock::now();
+  for (int64_t i = 0; i < calls; ++i) {
+    fn();
+  }
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+// How many calls of `fn` take about `slice_s`, from an untimed warm-up call
+// and a calibration run of ten slices.
+int64_t CallsPerSlice(const std::function<void()>& fn, double slice_s) {
+  fn();
+  int64_t calls = 1;
+  double elapsed = TimeCalls(fn, calls);
+  while (elapsed < 10.0 * slice_s) {
+    calls *= 2;
+    elapsed = TimeCalls(fn, calls);
+  }
+  return std::max<int64_t>(
+      1, static_cast<int64_t>(static_cast<double>(calls) * slice_s / elapsed));
+}
+
+}  // namespace
+
+PairedOpsPerSec MeasurePairedOpsPerSec(const std::function<void()>& a,
+                                       const std::function<void()>& b, int slices,
+                                       double slice_s) {
+  const int64_t calls_a = CallsPerSlice(a, slice_s);
+  const int64_t calls_b = CallsPerSlice(b, slice_s);
+  double seconds_a = 0.0;
+  double seconds_b = 0.0;
+  for (int s = 0; s < slices; ++s) {
+    if (s % 2 == 0) {
+      seconds_a += TimeCalls(a, calls_a);
+      seconds_b += TimeCalls(b, calls_b);
+    } else {
+      seconds_b += TimeCalls(b, calls_b);
+      seconds_a += TimeCalls(a, calls_a);
+    }
+  }
+  PairedOpsPerSec rates;
+  if (seconds_a > 0.0) {
+    rates.a = static_cast<double>(calls_a * slices) / seconds_a;
+  }
+  if (seconds_b > 0.0) {
+    rates.b = static_cast<double>(calls_b * slices) / seconds_b;
+  }
+  return rates;
+}
+
 }  // namespace mocc

@@ -70,6 +70,11 @@ class RlRateController : public CongestionControl {
   // src/core/mocc_api.h) is dropped: no history push, no decision.
   void OnMonitorInterval(const MonitorReport& report) override;
   double PacingRateBps() const override { return rate_bps_; }
+  // A pure monitor-interval rater with no binding window: the rate changes
+  // only in OnMonitorInterval, and OnAck only feeds slab counters and the
+  // guard's CUBIC, which are read at the flow's own next event. So the
+  // simulator may apply its ACKs lazily (cc_interface.h).
+  bool NeedsPerAckEvents() const override { return false; }
 
   // Replaces the observation prefix (e.g. when the registered application changes its
   // requirement at runtime). Same length as Options::observation_prefix.

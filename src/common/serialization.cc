@@ -35,10 +35,14 @@ void BinaryWriter::WriteString(const std::string& s) {
 }
 
 void BinaryWriter::WriteDoubleVector(const std::vector<double>& v) {
-  WriteU64(v.size());
-  if (!v.empty()) {
-    out_.write(reinterpret_cast<const char*>(v.data()),
-               static_cast<std::streamsize>(v.size() * sizeof(double)));
+  WriteDoubleVector(v.data(), v.size());
+}
+
+void BinaryWriter::WriteDoubleVector(const double* data, size_t n) {
+  WriteU64(n);
+  if (n != 0) {
+    out_.write(reinterpret_cast<const char*>(data),
+               static_cast<std::streamsize>(n * sizeof(double)));
   }
 }
 
@@ -129,21 +133,22 @@ std::string BinaryReader::ReadString() {
   return s;
 }
 
-std::vector<double> BinaryReader::ReadDoubleVector() {
+uint64_t BinaryReader::ReadDoubleVectorSize() {
   const uint64_t size = ReadU64();
   if (!ok_ || size > (1ULL << 32) || !FitsRemaining(size * sizeof(double))) {
     ok_ = false;
-    return {};
+    return 0;
   }
-  std::vector<double> v(size, 0.0);
-  if (size > 0) {
-    in_.read(reinterpret_cast<char*>(v.data()),
-             static_cast<std::streamsize>(size * sizeof(double)));
+  return size;
+}
+
+void BinaryReader::ReadDoubles(double* dst, size_t n) {
+  if (n > 0) {
+    in_.read(reinterpret_cast<char*>(dst), static_cast<std::streamsize>(n * sizeof(double)));
     if (!in_.good()) {
       ok_ = false;
     }
   }
-  return v;
 }
 
 bool WriteFile(const std::string& path, const std::string& contents) {

@@ -168,7 +168,14 @@ void PacketNetwork::Schedule(double time_s, EvType type, int flow_id, int64_t se
 
 void PacketNetwork::ScheduleLoss(int flow_id, int64_t seq, double send_time_s,
                                  double now_s) {
-  const Flow& flow = flows_[static_cast<size_t>(flow_id)];
+  Flow& flow = flows_[static_cast<size_t>(flow_id)];
+  // The detection delay reads the flow's srtt_s, so a deferred flow's ACKs up
+  // to now must be applied first. A drop can run inside another flow's event
+  // (CoDel drops at dequeue, in whichever flow's kLinkDone started service),
+  // where Dispatch has not drained the dropped flow.
+  if (flow.defer_acks && !flow.pending_acks.empty()) {
+    DrainPendingAcks(&flow, now_s);
+  }
   Schedule(now_s + LossDetectionDelay(flow), EvType::kLossNotice, flow_id, seq,
            send_time_s);
 }

@@ -119,15 +119,18 @@ void MatMulBiasRowsInto(const T* a, size_t m, const MatrixT<T>& b,
   const size_t n = b.cols();
   const T* bd = b.data();
   const T* biasd = bias.data();
-  // The batch driver IS a loop of the single-row dispatched kernel, so the
-  // serving layer's batched-vs-sequential bit-identity contract holds by
-  // construction (no separately-compiled pair kernel whose FMA contraction
-  // could drift from the single-row path). W stays L1-resident across rows for
-  // every deployed layer shape, so there is nothing left for a fused
-  // multi-row kernel to save.
-  for (size_t i = 0; i < m; ++i) {
-    simd::RowMatVecBias(a + i * k_dim, bd, biasd, c + i * n, k_dim, n);
+  if (n == 1) {
+    // The out==1 contract is the row kernel's lane-split dot (matrix.h).
+    for (size_t i = 0; i < m; ++i) {
+      simd::RowMatVecBias(a + i * k_dim, bd, biasd, c + i, k_dim, n);
+    }
+    return;
   }
+  // Wider layers: one multi-row kernel call, whose tiles share each weight
+  // load across rows and keep more independent fma chains in flight than a
+  // single row can. Every output is the row kernel's per-output chain, so a
+  // batch row equals a single-row forward bit for bit on every tier.
+  simd::RowsMatVec(a, k_dim, m, bd, /*seed=*/nullptr, biasd, c, n, k_dim, n);
 }
 
 template <typename T>

@@ -14,11 +14,57 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 #include "src/common/rng.h"
 
 namespace mocc {
+
+// Allocator behind every matrix and activation buffer of the NN substrate:
+// 64-byte aligned, one cache line. The SIMD kernels load weight rows whose
+// widths are multiples of a vector, so with an aligned base no 512-bit (or
+// 256-bit) load straddles two lines; with malloc's 16-byte alignment the
+// split loads' cost depended on where each replica happened to land in the
+// heap, and two identical replicas decided several percent apart. It
+// over-allocates one line from plain operator new and keeps the offset in
+// the byte before the aligned block: the aligned operator new (memalign)
+// costs a split and a free per call, which showed in model and replica
+// set-up times.
+template <typename T>
+struct AlignedAllocator {
+  using value_type = T;
+  static constexpr size_t kAlignment = 64;
+
+  AlignedAllocator() = default;
+  template <typename U>
+  AlignedAllocator(const AlignedAllocator<U>&) noexcept {}
+
+  T* allocate(size_t n) {
+    unsigned char* raw =
+        static_cast<unsigned char*>(::operator new(n * sizeof(T) + kAlignment));
+    const size_t offset = kAlignment - reinterpret_cast<uintptr_t>(raw) % kAlignment;
+    unsigned char* aligned = raw + offset;  // offset in [1, kAlignment]
+    aligned[-1] = static_cast<unsigned char>(offset);
+    return reinterpret_cast<T*>(aligned);
+  }
+  void deallocate(T* p, size_t /*n*/) noexcept {
+    unsigned char* aligned = reinterpret_cast<unsigned char*>(p);
+    ::operator delete(aligned - aligned[-1]);
+  }
+
+  template <typename U>
+  bool operator==(const AlignedAllocator<U>&) const noexcept {
+    return true;
+  }
+  template <typename U>
+  bool operator!=(const AlignedAllocator<U>&) const noexcept {
+    return false;
+  }
+};
+
+template <typename T>
+using AlignedVector = std::vector<T, AlignedAllocator<T>>;
 
 template <typename T>
 class MatrixT {
@@ -45,8 +91,8 @@ class MatrixT {
 
   T* data() { return data_.data(); }
   const T* data() const { return data_.data(); }
-  std::vector<T>& storage() { return data_; }
-  const std::vector<T>& storage() const { return data_; }
+  AlignedVector<T>& storage() { return data_; }
+  const AlignedVector<T>& storage() const { return data_; }
 
   // Reshapes to rows x cols. Storage capacity is reused and never shrinks, so
   // resizing a workspace back to a previously-held shape allocates nothing.
@@ -100,7 +146,7 @@ class MatrixT {
  private:
   size_t rows_ = 0;
   size_t cols_ = 0;
-  std::vector<T> data_;
+  AlignedVector<T> data_;
 };
 
 // The historical name: the double-precision training matrix.
@@ -120,9 +166,11 @@ void MatMulInto(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>* c);
 // C = A * B + 1·bias: the dense-layer forward. Every output is an ascending-k
 // fused chain acc = fma(a[k], b[k][j], acc) from zero, plus the bias (a
 // 1 x B.cols() row vector); B.cols() == 1 uses the defined lane-split tree of
-// scalar_kernels.inc instead. The batched form is a loop of the single-row
-// dispatched kernel RowMatVecBias, so batched and single-row forwards produce
-// bit-identical values per row on every SIMD tier.
+// scalar_kernels.inc instead. Rows run through the dispatched multi-row
+// kernel simd::RowsMatVec (the single-row kernel RowMatVecBias per row when
+// B.cols() == 1), whose contract is exactly that per-output chain, so batched
+// and single-row forwards produce bit-identical values per row on every SIMD
+// tier.
 template <typename T>
 void MatMulBiasInto(const MatrixT<T>& a, const MatrixT<T>& b, const MatrixT<T>& bias,
                     MatrixT<T>* c);

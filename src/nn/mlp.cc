@@ -119,8 +119,8 @@ void DenseLayerT<T>::Serialize(BinaryWriter* w) const {
   // (double) instantiation writes its storage directly; float widens through a
   // temporary (serialization is cold for the inference replica anyway).
   if constexpr (std::is_same_v<T, double>) {
-    w->WriteDoubleVector(weights_.storage());
-    w->WriteDoubleVector(bias_.storage());
+    w->WriteDoubleVector(weights_.data(), weights_.size());
+    w->WriteDoubleVector(bias_.data(), bias_.size());
   } else {
     w->WriteDoubleVector(
         std::vector<double>(weights_.storage().begin(), weights_.storage().end()));
@@ -138,8 +138,8 @@ bool DenseLayerT<T>::Deserialize(BinaryReader* r) {
       act != static_cast<uint32_t>(activation_)) {
     return false;
   }
-  std::vector<double> w = r->ReadDoubleVector();
-  std::vector<double> b = r->ReadDoubleVector();
+  auto w = r->ReadDoubleVectorAs<AlignedAllocator<double>>();
+  auto b = r->ReadDoubleVectorAs<AlignedAllocator<double>>();
   if (!r->ok() || w.size() != weights_.size() || b.size() != bias_.size()) {
     return false;
   }

@@ -221,8 +221,8 @@ class MlpT {
   std::vector<MatrixT<T>> acts_;  // per-layer outputs of the last ForwardInto
   MatrixT<T> grad_ping_;
   MatrixT<T> grad_pong_;
-  mutable std::vector<T> row_ping_;
-  mutable std::vector<T> row_pong_;
+  mutable AlignedVector<T> row_ping_;
+  mutable AlignedVector<T> row_pong_;
   mutable MatrixT<T> batch_ping_;  // ForwardBatchRows staging
   mutable MatrixT<T> batch_pong_;
 };

@@ -9,15 +9,17 @@ namespace mocc {
 namespace simd {
 namespace {
 
-// Overlay: non-null entries of `tier` on top of the scalar reference table.
-Kernels Compose(const Kernels* tier) {
-  Kernels k = *kScalarKernelTable;
+constexpr int kTierCount = 5;
+
+// Overlay: non-null entries of `tier` on top of `k`.
+Kernels Overlay(Kernels k, const Kernels* tier) {
   if (tier == nullptr) {
     return k;
   }
   if (tier->row_matvec_bias_f32) k.row_matvec_bias_f32 = tier->row_matvec_bias_f32;
   if (tier->row_matvec_bias_f64) k.row_matvec_bias_f64 = tier->row_matvec_bias_f64;
-  if (tier->row_matvec_seeded_f32) k.row_matvec_seeded_f32 = tier->row_matvec_seeded_f32;
+  if (tier->rows_matvec_f32) k.rows_matvec_f32 = tier->rows_matvec_f32;
+  if (tier->rows_matvec_f64) k.rows_matvec_f64 = tier->rows_matvec_f64;
   if (tier->tanh_array_f32) k.tanh_array_f32 = tier->tanh_array_f32;
   if (tier->tanh_array_f64) k.tanh_array_f64 = tier->tanh_array_f64;
   if (tier->int8_quantize_row) k.int8_quantize_row = tier->int8_quantize_row;
@@ -48,6 +50,14 @@ bool TierSupported(Tier tier) {
 #endif
     case Tier::kNeon:
       return kNeonKernelTable != nullptr;
+    case Tier::kAvx512:
+#if defined(__x86_64__) || defined(__i386__)
+      return kAvx512KernelTable != nullptr && TierSupported(Tier::kAvx2) &&
+             __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
+             __builtin_cpu_supports("avx512vl");
+#else
+      return false;
+#endif
   }
   return false;
 }
@@ -62,28 +72,43 @@ const Kernels* RawTable(Tier tier) {
       return kAvx2KernelTable;
     case Tier::kNeon:
       return kNeonKernelTable;
+    case Tier::kAvx512:
+      return kAvx512KernelTable;
   }
   return nullptr;
+}
+
+// The composed table of a supported tier: its own entries over the scalar
+// reference, and for kAvx512 over the AVX2 table, so entries AVX-512 does not
+// implement keep AVX2 speed.
+Kernels Compose(Tier tier) {
+  Kernels k = *kScalarKernelTable;
+  if (tier == Tier::kAvx512) {
+    k = Overlay(k, kAvx2KernelTable);
+  }
+  return Overlay(k, RawTable(tier));
 }
 
 struct Resolved {
   Tier tier;
   bool forced_scalar;
-  Kernels composed[4];   // index = static_cast<int>(Tier)
-  bool supported[4];
+  Kernels composed[kTierCount];  // index = static_cast<int>(Tier)
+  bool supported[kTierCount];
 };
 
 Resolved ResolveOnce() {
   Resolved r;
   const char* env = std::getenv("MOCC_FORCE_SCALAR");
   r.forced_scalar = env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kTierCount; ++t) {
     const Tier tier = static_cast<Tier>(t);
     r.supported[t] = TierSupported(tier);
-    r.composed[t] = Compose(r.supported[t] ? RawTable(tier) : nullptr);
+    r.composed[t] = r.supported[t] ? Compose(tier) : *kScalarKernelTable;
   }
   if (r.forced_scalar) {
     r.tier = Tier::kScalar;
+  } else if (r.supported[static_cast<int>(Tier::kAvx512)]) {
+    r.tier = Tier::kAvx512;
   } else if (r.supported[static_cast<int>(Tier::kAvx2)]) {
     r.tier = Tier::kAvx2;
   } else if (r.supported[static_cast<int>(Tier::kNeon)]) {
@@ -113,6 +138,8 @@ const char* TierName(Tier tier) {
       return "avx2";
     case Tier::kNeon:
       return "neon";
+    case Tier::kAvx512:
+      return "avx512";
   }
   return "unknown";
 }

@@ -1,17 +1,25 @@
 // Runtime-dispatched SIMD kernels for the inference hot paths and the PPO
-// update's input-gradient product.
+// update's forward and input-gradient products.
 //
 // One binary, every microarchitecture: the build no longer relies on
 // -march=native auto-vectorization for the hot kernels. Instead the hot loops
-// (RowMatVecBias / the batched row loops, the FastTanh activation sweeps,
-// the int8 quantized row GEMV, and the training backward pass's dL/dX
-// product) are compiled per ISA tier in their own translation units
-// (src/nn/simd/kernels_*.cc) and selected ONCE per process by CPUID:
+// (RowMatVecBias, the multi-row RowsMatVec behind every batched dense layer,
+// the FastTanh activation sweeps, the int8 quantized row GEMV, and the
+// training backward pass's dL/dX product) are compiled per ISA tier in their
+// own translation units (src/nn/simd/kernels_*.cc) and selected ONCE per
+// process by CPUID:
 //
-//   x86-64:  AVX2+FMA -> kAvx2; else SSSE3 -> kSsse3 (int8 GEMV only, float
-//            kernels stay scalar); else kScalar.
+//   x86-64:  AVX-512 F+DQ+VL -> kAvx512 (multi-row mat-vec and tanh in zmm
+//            tiles; every other entry is the AVX2 one); else AVX2+FMA ->
+//            kAvx2; else SSSE3 -> kSsse3 (int8 GEMV only, float kernels stay
+//            scalar); else kScalar.
 //   aarch64: kNeon (baseline NEON, float32 mat-vec; everything else scalar).
 //   other:   kScalar.
+//
+// The AVX-512 functions live in kernels_avx2.cc under a function-level target
+// attribute, so they build wherever that TU builds (its -mavx2 -mfma
+// -ffp-contract=off flags apply to them too) and run only after CPUID says
+// avx512f, avx512dq and avx512vl are there.
 //
 // MOCC_FORCE_SCALAR=1 in the environment (read once, at first dispatch) pins
 // the process to the scalar reference tier — CI runs the full test suite that
@@ -42,28 +50,43 @@ enum class Tier {
   kSsse3 = 1,
   kAvx2 = 2,
   kNeon = 3,
+  kAvx512 = 4,
 };
 
 // Stable lowercase name for logs / BENCH json ("scalar", "ssse3", "avx2",
-// "neon").
+// "neon", "avx512").
 const char* TierName(Tier tier);
 
 // One function-pointer table per tier. All pointers are always non-null in a
 // table returned by Active()/KernelsForTier (tiers that only accelerate a
-// subset are backfilled with the scalar reference for the rest).
+// subset are backfilled with the scalar reference for the rest; kAvx512 is
+// backfilled with the AVX2 table).
 struct Kernels {
   // y = x·W + b for one row: W is in×out row-major (column j strided by out).
   void (*row_matvec_bias_f32)(const float* x, const float* w, const float* b,
                               float* y, size_t in, size_t out);
   void (*row_matvec_bias_f64)(const double* x, const double* w, const double* b,
                               double* y, size_t in, size_t out);
-  // Seeded/resumable f32 row mat-vec: acc[j] starts at seed[j] (0 when seed is
-  // null), bias add skipped when b is null. Per-output ascending-k fma chains
-  // at EVERY shape (no out==1 lane split), so a [0,s) pass with null seed/bias
-  // followed by a seeded [s,in) pass is bit-identical to one full-range call —
-  // the deployment policy's cached-prefix trick (see inference_policy.cc).
-  void (*row_matvec_seeded_f32)(const float* x, const float* w, const float* seed,
-                                const float* b, float* y, size_t in, size_t out);
+  // Multi-row mat-vec over n strided rows sharing one weight matrix: for row
+  // r < n and output j < out,
+  //   acc = seed[j] (0 when seed is null), then acc = fma(x[r*x_stride + k],
+  //   w[k*out + j], acc) for ascending k < in;
+  //   y[r*y_stride + j] = acc + b[j] (acc when b is null).
+  // One ascending-k fma chain per output at EVERY shape (no out==1 lane
+  // split), so (a) a [0,s) pass with null seed and bias followed by a [s,in)
+  // pass seeded with its outputs is bit-identical to one full-range call —
+  // the deployment policy's cached layer-0 prefix (inference_policy.cc) — and
+  // (b) with a null seed every output equals row_matvec_bias_*'s for out > 1,
+  // which lets a batched dense layer use this kernel while single-row
+  // forwards keep the row kernel. The vector tiers tile rows x outputs to
+  // keep 8 independent accumulators in flight; the tiling never touches an
+  // output's chain.
+  void (*rows_matvec_f32)(const float* x, size_t x_stride, size_t n, const float* w,
+                          const float* seed, const float* b, float* y,
+                          size_t y_stride, size_t in, size_t out);
+  void (*rows_matvec_f64)(const double* x, size_t x_stride, size_t n,
+                          const double* w, const double* seed, const double* b,
+                          double* y, size_t y_stride, size_t in, size_t out);
   // In-place FmaTanh over a contiguous array.
   void (*tanh_array_f32)(float* data, size_t n);
   void (*tanh_array_f64)(double* data, size_t n);
@@ -138,9 +161,16 @@ inline void RowMatVecBias(const double* x, const double* w, const double* b,
   Active().row_matvec_bias_f64(x, w, b, y, in, out);
 }
 
-inline void RowMatVecSeeded(const float* x, const float* w, const float* seed,
-                            const float* b, float* y, size_t in, size_t out) {
-  Active().row_matvec_seeded_f32(x, w, seed, b, y, in, out);
+inline void RowsMatVec(const float* x, size_t x_stride, size_t n, const float* w,
+                       const float* seed, const float* b, float* y, size_t y_stride,
+                       size_t in, size_t out) {
+  Active().rows_matvec_f32(x, x_stride, n, w, seed, b, y, y_stride, in, out);
+}
+
+inline void RowsMatVec(const double* x, size_t x_stride, size_t n, const double* w,
+                       const double* seed, const double* b, double* y,
+                       size_t y_stride, size_t in, size_t out) {
+  Active().rows_matvec_f64(x, x_stride, n, w, seed, b, y, y_stride, in, out);
 }
 
 inline void TanhArray(float* data, size_t n) { Active().tanh_array_f32(data, n); }

@@ -1,8 +1,9 @@
-// AVX2+FMA tier. Compiled with -mavx2 -mfma -ffp-contract=off on x86 (see
-// CMakeLists.txt) and selected at runtime only after CPUID confirms avx2+fma,
-// so the binary stays runnable on baseline x86-64. Nothing in this TU has
-// external linkage except the table pointer (constant-initialized: resolving
-// it executes no AVX2 code).
+// AVX2+FMA tier, and the AVX-512 tier's functions (section at the end).
+// Compiled with -mavx2 -mfma -ffp-contract=off on x86 (see CMakeLists.txt) and
+// selected at runtime only after CPUID confirms avx2+fma (avx512f/dq/vl for
+// the AVX-512 table), so the binary stays runnable on baseline x86-64.
+// Nothing in this TU has external linkage except the two table pointers
+// (constant-initialized: resolving them executes no vector code).
 //
 // Every kernel mirrors the scalar reference in scalar_kernels.inc
 // lane-for-lane: _mm256_fmadd/fnmadd are the correctly rounded fused ops the
@@ -27,7 +28,123 @@ namespace {
 #include "src/nn/simd/scalar_kernels.inc"
 
 // ---------------------------------------------------------------------------
-// Row mat-vec, float32.
+// Multi-row mat-vec (RefRowsMatVec mirror), float32 and double: per-output
+// ascending-k fma chains at every shape, accumulators initialized from `seed`
+// (zero when null), bias add skipped when `b` is null. A tile is NR rows x NV
+// vectors of outputs sharing every weight load. Eight accumulators per tile
+// (1 x 8 or 2 x 4 vectors: f32 1 x 64 / 2 x 32 outputs, f64 1 x 32 / 2 x 16)
+// keep enough independent chains in flight to cover the FMA latency, which a
+// 32-wide single-row pass (4 chains) cannot.
+// ---------------------------------------------------------------------------
+
+struct Avx2Ps {
+  using T = float;
+  using V = __m256;
+  static constexpr size_t kLanes = 8;
+  static V Load(const T* p) { return _mm256_loadu_ps(p); }
+  static V Zero() { return _mm256_setzero_ps(); }
+  static V Set1(T v) { return _mm256_set1_ps(v); }
+  static V Fma(V a, V b, V c) { return _mm256_fmadd_ps(a, b, c); }
+  static V Add(V a, V b) { return _mm256_add_ps(a, b); }
+  static void Store(T* p, V v) { _mm256_storeu_ps(p, v); }
+};
+
+struct Avx2Pd {
+  using T = double;
+  using V = __m256d;
+  static constexpr size_t kLanes = 4;
+  static V Load(const T* p) { return _mm256_loadu_pd(p); }
+  static V Zero() { return _mm256_setzero_pd(); }
+  static V Set1(T v) { return _mm256_set1_pd(v); }
+  static V Fma(V a, V b, V c) { return _mm256_fmadd_pd(a, b, c); }
+  static V Add(V a, V b) { return _mm256_add_pd(a, b); }
+  static void Store(T* p, V v) { _mm256_storeu_pd(p, v); }
+};
+
+template <typename Ops, int NR, int NV, typename T = typename Ops::T>
+inline void Avx2RowsTile(const T* x, size_t x_stride, const T* w, const T* seed,
+                         const T* b, T* y, size_t y_stride, size_t in, size_t out,
+                         size_t j0) {
+  using V = typename Ops::V;
+  constexpr size_t L = Ops::kLanes;
+  V acc[NR][NV];
+  for (int v = 0; v < NV; ++v) {
+    const V init = seed != nullptr ? Ops::Load(seed + j0 + L * v) : Ops::Zero();
+    for (int r = 0; r < NR; ++r) {
+      acc[r][v] = init;
+    }
+  }
+  const T* wp = w + j0;
+  for (size_t k = 0; k < in; ++k, wp += out) {
+    V wv[NV];
+    for (int v = 0; v < NV; ++v) {
+      wv[v] = Ops::Load(wp + L * v);
+    }
+    for (int r = 0; r < NR; ++r) {
+      const V xk = Ops::Set1(x[r * x_stride + k]);
+      for (int v = 0; v < NV; ++v) {
+        acc[r][v] = Ops::Fma(xk, wv[v], acc[r][v]);
+      }
+    }
+  }
+  for (int r = 0; r < NR; ++r) {
+    for (int v = 0; v < NV; ++v) {
+      V res = acc[r][v];
+      if (b != nullptr) {
+        res = Ops::Add(res, Ops::Load(b + j0 + L * v));
+      }
+      Ops::Store(y + r * y_stride + j0 + L * v, res);
+    }
+  }
+}
+
+// Rows [0, NR) of x and y, every output: the 8-accumulator tile, then
+// narrower blocks, then the reference's scalar chains for the last out % L.
+template <typename Ops, int NR, typename T = typename Ops::T>
+inline void Avx2RowsBlock(const T* x, size_t x_stride, const T* w, const T* seed,
+                          const T* b, T* y, size_t y_stride, size_t in, size_t out) {
+  constexpr size_t L = Ops::kLanes;
+  constexpr int kWide = 8 / NR;
+  size_t j0 = 0;
+  for (; j0 + kWide * L <= out; j0 += kWide * L) {
+    Avx2RowsTile<Ops, NR, kWide>(x, x_stride, w, seed, b, y, y_stride, in, out, j0);
+  }
+  if constexpr (kWide > 4) {
+    for (; j0 + 4 * L <= out; j0 += 4 * L) {
+      Avx2RowsTile<Ops, NR, 4>(x, x_stride, w, seed, b, y, y_stride, in, out, j0);
+    }
+  }
+  if constexpr (kWide > 2) {
+    for (; j0 + 2 * L <= out; j0 += 2 * L) {
+      Avx2RowsTile<Ops, NR, 2>(x, x_stride, w, seed, b, y, y_stride, in, out, j0);
+    }
+  }
+  for (; j0 + L <= out; j0 += L) {
+    Avx2RowsTile<Ops, NR, 1>(x, x_stride, w, seed, b, y, y_stride, in, out, j0);
+  }
+  if (j0 < out) {
+    RefRowsMatVecCols(x, x_stride, NR, w, seed, b, y, y_stride, in, out, j0);
+  }
+}
+
+template <typename Ops, typename T = typename Ops::T>
+void Avx2RowsMatVec(const T* x, size_t x_stride, size_t n, const T* w, const T* seed,
+                    const T* b, T* y, size_t y_stride, size_t in, size_t out) {
+  size_t r = 0;
+  for (; r + 2 <= n; r += 2) {
+    Avx2RowsBlock<Ops, 2>(x + r * x_stride, x_stride, w, seed, b, y + r * y_stride,
+                          y_stride, in, out);
+  }
+  if (r < n) {
+    Avx2RowsBlock<Ops, 1>(x + r * x_stride, x_stride, w, seed, b, y + r * y_stride,
+                          y_stride, in, out);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Row mat-vec: out == 1 is the defined lane-split dot (RefDotLanes); wider
+// layers are the one-row case of the multi-row kernel, whose per-output
+// chains are the reference's.
 // ---------------------------------------------------------------------------
 
 void Avx2RowMatVecBiasF32(const float* x, const float* w, const float* b, float* y,
@@ -51,142 +168,8 @@ void Avx2RowMatVecBiasF32(const float* x, const float* w, const float* b, float*
     y[0] = sum + b[0];
     return;
   }
-  size_t j0 = 0;
-  // Widest block first: one k-pass feeding up to 8 independent accumulator
-  // registers (64 outputs) — one x broadcast serves all of them, the strided W
-  // row is streamed once, and the 8 chains hide the 4-cycle FMA latency. The
-  // per-lane arithmetic is the reference's per-output chain whatever the block
-  // width. The deployed trunk (46->64->32) runs entirely in the 64- and
-  // 32-wide blocks; 16-wide covers the PN nets.
-  for (; j0 + 64 <= out; j0 += 64) {
-    __m256 a0 = _mm256_setzero_ps();
-    __m256 a1 = _mm256_setzero_ps();
-    __m256 a2 = _mm256_setzero_ps();
-    __m256 a3 = _mm256_setzero_ps();
-    __m256 a4 = _mm256_setzero_ps();
-    __m256 a5 = _mm256_setzero_ps();
-    __m256 a6 = _mm256_setzero_ps();
-    __m256 a7 = _mm256_setzero_ps();
-    const float* wp = w + j0;
-    for (size_t k = 0; k < in; ++k, wp += out) {
-      const __m256 xk = _mm256_set1_ps(x[k]);
-      a0 = _mm256_fmadd_ps(xk, _mm256_loadu_ps(wp), a0);
-      a1 = _mm256_fmadd_ps(xk, _mm256_loadu_ps(wp + 8), a1);
-      a2 = _mm256_fmadd_ps(xk, _mm256_loadu_ps(wp + 16), a2);
-      a3 = _mm256_fmadd_ps(xk, _mm256_loadu_ps(wp + 24), a3);
-      a4 = _mm256_fmadd_ps(xk, _mm256_loadu_ps(wp + 32), a4);
-      a5 = _mm256_fmadd_ps(xk, _mm256_loadu_ps(wp + 40), a5);
-      a6 = _mm256_fmadd_ps(xk, _mm256_loadu_ps(wp + 48), a6);
-      a7 = _mm256_fmadd_ps(xk, _mm256_loadu_ps(wp + 56), a7);
-    }
-    _mm256_storeu_ps(y + j0, _mm256_add_ps(a0, _mm256_loadu_ps(b + j0)));
-    _mm256_storeu_ps(y + j0 + 8, _mm256_add_ps(a1, _mm256_loadu_ps(b + j0 + 8)));
-    _mm256_storeu_ps(y + j0 + 16, _mm256_add_ps(a2, _mm256_loadu_ps(b + j0 + 16)));
-    _mm256_storeu_ps(y + j0 + 24, _mm256_add_ps(a3, _mm256_loadu_ps(b + j0 + 24)));
-    _mm256_storeu_ps(y + j0 + 32, _mm256_add_ps(a4, _mm256_loadu_ps(b + j0 + 32)));
-    _mm256_storeu_ps(y + j0 + 40, _mm256_add_ps(a5, _mm256_loadu_ps(b + j0 + 40)));
-    _mm256_storeu_ps(y + j0 + 48, _mm256_add_ps(a6, _mm256_loadu_ps(b + j0 + 48)));
-    _mm256_storeu_ps(y + j0 + 56, _mm256_add_ps(a7, _mm256_loadu_ps(b + j0 + 56)));
-  }
-  for (; j0 + 32 <= out; j0 += 32) {
-    __m256 a0 = _mm256_setzero_ps();
-    __m256 a1 = _mm256_setzero_ps();
-    __m256 a2 = _mm256_setzero_ps();
-    __m256 a3 = _mm256_setzero_ps();
-    const float* wp = w + j0;
-    for (size_t k = 0; k < in; ++k, wp += out) {
-      const __m256 xk = _mm256_set1_ps(x[k]);
-      a0 = _mm256_fmadd_ps(xk, _mm256_loadu_ps(wp), a0);
-      a1 = _mm256_fmadd_ps(xk, _mm256_loadu_ps(wp + 8), a1);
-      a2 = _mm256_fmadd_ps(xk, _mm256_loadu_ps(wp + 16), a2);
-      a3 = _mm256_fmadd_ps(xk, _mm256_loadu_ps(wp + 24), a3);
-    }
-    _mm256_storeu_ps(y + j0, _mm256_add_ps(a0, _mm256_loadu_ps(b + j0)));
-    _mm256_storeu_ps(y + j0 + 8, _mm256_add_ps(a1, _mm256_loadu_ps(b + j0 + 8)));
-    _mm256_storeu_ps(y + j0 + 16, _mm256_add_ps(a2, _mm256_loadu_ps(b + j0 + 16)));
-    _mm256_storeu_ps(y + j0 + 24, _mm256_add_ps(a3, _mm256_loadu_ps(b + j0 + 24)));
-  }
-  for (; j0 + 16 <= out; j0 += 16) {
-    __m256 a0 = _mm256_setzero_ps();
-    __m256 a1 = _mm256_setzero_ps();
-    const float* wp = w + j0;
-    for (size_t k = 0; k < in; ++k, wp += out) {
-      const __m256 xk = _mm256_set1_ps(x[k]);
-      a0 = _mm256_fmadd_ps(xk, _mm256_loadu_ps(wp), a0);
-      a1 = _mm256_fmadd_ps(xk, _mm256_loadu_ps(wp + 8), a1);
-    }
-    _mm256_storeu_ps(y + j0, _mm256_add_ps(a0, _mm256_loadu_ps(b + j0)));
-    _mm256_storeu_ps(y + j0 + 8, _mm256_add_ps(a1, _mm256_loadu_ps(b + j0 + 8)));
-  }
-  for (; j0 + 8 <= out; j0 += 8) {
-    __m256 a0 = _mm256_setzero_ps();
-    const float* wp = w + j0;
-    for (size_t k = 0; k < in; ++k, wp += out) {
-      a0 = _mm256_fmadd_ps(_mm256_set1_ps(x[k]), _mm256_loadu_ps(wp), a0);
-    }
-    _mm256_storeu_ps(y + j0, _mm256_add_ps(a0, _mm256_loadu_ps(b + j0)));
-  }
-  for (; j0 < out; ++j0) {
-    float acc = 0.0f;
-    const float* wp = w + j0;
-    for (size_t k = 0; k < in; ++k, wp += out) {
-      acc = std::fma(x[k], *wp, acc);
-    }
-    y[j0] = acc + b[j0];
-  }
+  Avx2RowsBlock<Avx2Ps, 1, float>(x, in, w, /*seed=*/nullptr, b, y, out, in, out);
 }
-
-// ---------------------------------------------------------------------------
-// Seeded/resumable f32 row mat-vec (RefRowMatVecSeededF32 mirror): per-output
-// ascending-k fma chains at every shape, accumulators initialized from `seed`
-// (zero when null), bias add skipped when `b` is null.
-// ---------------------------------------------------------------------------
-
-template <int NB>  // NB 8-wide column blocks per k-pass (NB*8 outputs)
-inline void Avx2SeededBlock(const float* x, const float* w, const float* seed,
-                            const float* b, float* y, size_t in, size_t out,
-                            size_t j0) {
-  __m256 acc[NB];
-  for (int t = 0; t < NB; ++t) {
-    acc[t] = seed != nullptr ? _mm256_loadu_ps(seed + j0 + 8 * t)
-                             : _mm256_setzero_ps();
-  }
-  const float* wp = w + j0;
-  for (size_t k = 0; k < in; ++k, wp += out) {
-    const __m256 xk = _mm256_set1_ps(x[k]);
-    for (int t = 0; t < NB; ++t) {
-      acc[t] = _mm256_fmadd_ps(xk, _mm256_loadu_ps(wp + 8 * t), acc[t]);
-    }
-  }
-  for (int t = 0; t < NB; ++t) {
-    __m256 r = acc[t];
-    if (b != nullptr) {
-      r = _mm256_add_ps(r, _mm256_loadu_ps(b + j0 + 8 * t));
-    }
-    _mm256_storeu_ps(y + j0 + 8 * t, r);
-  }
-}
-
-void Avx2RowMatVecSeededF32(const float* x, const float* w, const float* seed,
-                            const float* b, float* y, size_t in, size_t out) {
-  size_t j0 = 0;
-  for (; j0 + 64 <= out; j0 += 64) Avx2SeededBlock<8>(x, w, seed, b, y, in, out, j0);
-  for (; j0 + 32 <= out; j0 += 32) Avx2SeededBlock<4>(x, w, seed, b, y, in, out, j0);
-  for (; j0 + 16 <= out; j0 += 16) Avx2SeededBlock<2>(x, w, seed, b, y, in, out, j0);
-  for (; j0 + 8 <= out; j0 += 8) Avx2SeededBlock<1>(x, w, seed, b, y, in, out, j0);
-  for (; j0 < out; ++j0) {
-    float acc = seed != nullptr ? seed[j0] : 0.0f;
-    const float* wp = w + j0;
-    for (size_t k = 0; k < in; ++k, wp += out) {
-      acc = std::fma(x[k], *wp, acc);
-    }
-    y[j0] = b != nullptr ? acc + b[j0] : acc;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Row mat-vec, double.
-// ---------------------------------------------------------------------------
 
 void Avx2RowMatVecBiasF64(const double* x, const double* w, const double* b,
                           double* y, size_t in, size_t out) {
@@ -208,41 +191,7 @@ void Avx2RowMatVecBiasF64(const double* x, const double* w, const double* b,
     y[0] = sum + b[0];
     return;
   }
-  size_t j0 = 0;
-  for (; j0 + 16 <= out; j0 += 16) {
-    __m256d a0 = _mm256_setzero_pd();
-    __m256d a1 = _mm256_setzero_pd();
-    __m256d a2 = _mm256_setzero_pd();
-    __m256d a3 = _mm256_setzero_pd();
-    const double* wp = w + j0;
-    for (size_t k = 0; k < in; ++k, wp += out) {
-      const __m256d xk = _mm256_set1_pd(x[k]);
-      a0 = _mm256_fmadd_pd(xk, _mm256_loadu_pd(wp), a0);
-      a1 = _mm256_fmadd_pd(xk, _mm256_loadu_pd(wp + 4), a1);
-      a2 = _mm256_fmadd_pd(xk, _mm256_loadu_pd(wp + 8), a2);
-      a3 = _mm256_fmadd_pd(xk, _mm256_loadu_pd(wp + 12), a3);
-    }
-    _mm256_storeu_pd(y + j0, _mm256_add_pd(a0, _mm256_loadu_pd(b + j0)));
-    _mm256_storeu_pd(y + j0 + 4, _mm256_add_pd(a1, _mm256_loadu_pd(b + j0 + 4)));
-    _mm256_storeu_pd(y + j0 + 8, _mm256_add_pd(a2, _mm256_loadu_pd(b + j0 + 8)));
-    _mm256_storeu_pd(y + j0 + 12, _mm256_add_pd(a3, _mm256_loadu_pd(b + j0 + 12)));
-  }
-  for (; j0 + 4 <= out; j0 += 4) {
-    __m256d a0 = _mm256_setzero_pd();
-    const double* wp = w + j0;
-    for (size_t k = 0; k < in; ++k, wp += out) {
-      a0 = _mm256_fmadd_pd(_mm256_set1_pd(x[k]), _mm256_loadu_pd(wp), a0);
-    }
-    _mm256_storeu_pd(y + j0, _mm256_add_pd(a0, _mm256_loadu_pd(b + j0)));
-  }
-  for (; j0 < out; ++j0) {
-    double acc = 0.0;
-    const double* wp = w + j0;
-    for (size_t k = 0; k < in; ++k, wp += out) {
-      acc = std::fma(x[k], *wp, acc);
-    }
-    y[j0] = acc + b[j0];
-  }
+  Avx2RowsBlock<Avx2Pd, 1, double>(x, in, w, /*seed=*/nullptr, b, y, out, in, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -580,15 +529,338 @@ void Avx2MatMulUnfusedF64(const double* a, const double* bt, double* c, size_t m
   for (; i < m; ++i) Avx2UnfusedRows<1>(a, bt, c, k, n, i);
 }
 
+// ---------------------------------------------------------------------------
+// AVX-512 tier (Tier::kAvx512): the multi-row mat-vec and the tanh sweeps in
+// 512-bit registers. These functions carry a target attribute instead of a
+// per-file flag, so this TU's -mavx2 -mfma -ffp-contract=off build (the same
+// in the library and in every build that mirrors its flags) compiles them on
+// any x86 compiler setting, and dispatch.cc calls them only after CPUID
+// reports avx512f, avx512dq and avx512vl. Everything the tier does not
+// implement keeps the AVX2 entry (dispatch.cc composes the table over it).
+// The arithmetic is the AVX2 kernels' lane for lane: _mm512_fmadd/fnmadd are
+// the same correctly rounded fused ops, k-mask compares and blends reproduce
+// the reference ternaries' NaN routing, and masked loads and stores cover
+// the column and element tails without a scalar epilogue (masked-off lanes
+// compute on zeros and are never stored).
+// ---------------------------------------------------------------------------
+
+#define MOCC_AVX512 __attribute__((target("avx512f,avx512dq,avx512vl")))
+
+struct Avx512Ps {
+  using T = float;
+  using V = __m512;
+  using Mask = __mmask16;
+  static constexpr size_t kLanes = 16;
+  MOCC_AVX512 static V Load(const T* p) { return _mm512_loadu_ps(p); }
+  MOCC_AVX512 static V LoadMasked(Mask m, const T* p) {
+    return _mm512_maskz_loadu_ps(m, p);
+  }
+  MOCC_AVX512 static V Zero() { return _mm512_setzero_ps(); }
+  MOCC_AVX512 static V Set1(T v) { return _mm512_set1_ps(v); }
+  MOCC_AVX512 static V Fma(V a, V b, V c) { return _mm512_fmadd_ps(a, b, c); }
+  MOCC_AVX512 static V Add(V a, V b) { return _mm512_add_ps(a, b); }
+  MOCC_AVX512 static void Store(T* p, V v) { _mm512_storeu_ps(p, v); }
+  MOCC_AVX512 static void StoreMasked(T* p, Mask m, V v) {
+    _mm512_mask_storeu_ps(p, m, v);
+  }
+};
+
+struct Avx512Pd {
+  using T = double;
+  using V = __m512d;
+  using Mask = __mmask8;
+  static constexpr size_t kLanes = 8;
+  MOCC_AVX512 static V Load(const T* p) { return _mm512_loadu_pd(p); }
+  MOCC_AVX512 static V LoadMasked(Mask m, const T* p) {
+    return _mm512_maskz_loadu_pd(m, p);
+  }
+  MOCC_AVX512 static V Zero() { return _mm512_setzero_pd(); }
+  MOCC_AVX512 static V Set1(T v) { return _mm512_set1_pd(v); }
+  MOCC_AVX512 static V Fma(V a, V b, V c) { return _mm512_fmadd_pd(a, b, c); }
+  MOCC_AVX512 static V Add(V a, V b) { return _mm512_add_pd(a, b); }
+  MOCC_AVX512 static void Store(T* p, V v) { _mm512_storeu_pd(p, v); }
+  MOCC_AVX512 static void StoreMasked(T* p, Mask m, V v) {
+    _mm512_mask_storeu_pd(p, m, v);
+  }
+};
+
+// One NR x NV tile (Avx2RowsTile's shape); with kMasked every vector is the
+// `mask` lanes of a column tail (used with NV == 1).
+template <typename Ops, int NR, int NV, bool kMasked, typename T = typename Ops::T>
+MOCC_AVX512 inline void Avx512RowsTile(const T* x, size_t x_stride, const T* w,
+                                       const T* seed, const T* b, T* y,
+                                       size_t y_stride, size_t in, size_t out,
+                                       size_t j0, typename Ops::Mask mask) {
+  using V = typename Ops::V;
+  constexpr size_t L = Ops::kLanes;
+  V acc[NR][NV];
+  for (int v = 0; v < NV; ++v) {
+    V init = Ops::Zero();
+    if (seed != nullptr) {
+      init = kMasked ? Ops::LoadMasked(mask, seed + j0 + L * v)
+                     : Ops::Load(seed + j0 + L * v);
+    }
+    for (int r = 0; r < NR; ++r) {
+      acc[r][v] = init;
+    }
+  }
+  const T* wp = w + j0;
+  for (size_t k = 0; k < in; ++k, wp += out) {
+    V wv[NV];
+    for (int v = 0; v < NV; ++v) {
+      wv[v] = kMasked ? Ops::LoadMasked(mask, wp + L * v) : Ops::Load(wp + L * v);
+    }
+    for (int r = 0; r < NR; ++r) {
+      const V xk = Ops::Set1(x[r * x_stride + k]);
+      for (int v = 0; v < NV; ++v) {
+        acc[r][v] = Ops::Fma(xk, wv[v], acc[r][v]);
+      }
+    }
+  }
+  for (int r = 0; r < NR; ++r) {
+    for (int v = 0; v < NV; ++v) {
+      V res = acc[r][v];
+      if (b != nullptr) {
+        res = Ops::Add(res, kMasked ? Ops::LoadMasked(mask, b + j0 + L * v)
+                                    : Ops::Load(b + j0 + L * v));
+      }
+      T* dst = y + r * y_stride + j0 + L * v;
+      if (kMasked) {
+        Ops::StoreMasked(dst, mask, res);
+      } else {
+        Ops::Store(dst, res);
+      }
+    }
+  }
+}
+
+// Outputs [j0, j0 + NV * L) (the `mask` lanes when kMasked) of every row:
+// NR-row tiles, then 2- and 1-row tiles for the row remainder. Columns are
+// the outer loop, so a block's weight columns stay in L1 across the rows.
+template <typename Ops, int NR, int NV, bool kMasked, typename T = typename Ops::T>
+MOCC_AVX512 inline void Avx512RowsColumns(const T* x, size_t x_stride, size_t n,
+                                          const T* w, const T* seed, const T* b,
+                                          T* y, size_t y_stride, size_t in,
+                                          size_t out, size_t j0,
+                                          typename Ops::Mask mask) {
+  size_t r = 0;
+  for (; r + NR <= n; r += NR) {
+    Avx512RowsTile<Ops, NR, NV, kMasked>(x + r * x_stride, x_stride, w, seed, b,
+                                         y + r * y_stride, y_stride, in, out, j0,
+                                         mask);
+  }
+  if constexpr (NR > 2) {
+    if (r + 2 <= n) {
+      Avx512RowsTile<Ops, 2, NV, kMasked>(x + r * x_stride, x_stride, w, seed, b,
+                                          y + r * y_stride, y_stride, in, out, j0,
+                                          mask);
+      r += 2;
+    }
+  }
+  if constexpr (NR > 1) {
+    if (r < n) {
+      Avx512RowsTile<Ops, 1, NV, kMasked>(x + r * x_stride, x_stride, w, seed, b,
+                                          y + r * y_stride, y_stride, in, out, j0,
+                                          mask);
+    }
+  }
+}
+
+// float32: 2 x 64 tiles (the trunk's 64-wide first layer), 4 x 32 (its
+// 64->32 layer), 4 x 16, then a masked 4 x (out % 16) tail.
+MOCC_AVX512 void Avx512RowsMatVecF32(const float* x, size_t x_stride, size_t n,
+                                     const float* w, const float* seed,
+                                     const float* b, float* y, size_t y_stride,
+                                     size_t in, size_t out) {
+  using Ops = Avx512Ps;
+  const __mmask16 all = 0xFFFF;
+  size_t j0 = 0;
+  for (; j0 + 64 <= out; j0 += 64) {
+    Avx512RowsColumns<Ops, 2, 4, false>(x, x_stride, n, w, seed, b, y, y_stride, in,
+                                        out, j0, all);
+  }
+  for (; j0 + 32 <= out; j0 += 32) {
+    Avx512RowsColumns<Ops, 4, 2, false>(x, x_stride, n, w, seed, b, y, y_stride, in,
+                                        out, j0, all);
+  }
+  for (; j0 + 16 <= out; j0 += 16) {
+    Avx512RowsColumns<Ops, 4, 1, false>(x, x_stride, n, w, seed, b, y, y_stride, in,
+                                        out, j0, all);
+  }
+  if (j0 < out) {
+    const __mmask16 tail = static_cast<__mmask16>((1u << (out - j0)) - 1u);
+    Avx512RowsColumns<Ops, 4, 1, true>(x, x_stride, n, w, seed, b, y, y_stride, in,
+                                       out, j0, tail);
+  }
+}
+
+// double: 4 x 16 tiles, 4 x 8, then a masked 4 x (out % 8) tail.
+MOCC_AVX512 void Avx512RowsMatVecF64(const double* x, size_t x_stride, size_t n,
+                                     const double* w, const double* seed,
+                                     const double* b, double* y, size_t y_stride,
+                                     size_t in, size_t out) {
+  using Ops = Avx512Pd;
+  const __mmask8 all = 0xFF;
+  size_t j0 = 0;
+  for (; j0 + 16 <= out; j0 += 16) {
+    Avx512RowsColumns<Ops, 4, 2, false>(x, x_stride, n, w, seed, b, y, y_stride, in,
+                                        out, j0, all);
+  }
+  for (; j0 + 8 <= out; j0 += 8) {
+    Avx512RowsColumns<Ops, 4, 1, false>(x, x_stride, n, w, seed, b, y, y_stride, in,
+                                        out, j0, all);
+  }
+  if (j0 < out) {
+    const __mmask8 tail = static_cast<__mmask8>((1u << (out - j0)) - 1u);
+    Avx512RowsColumns<Ops, 4, 1, true>(x, x_stride, n, w, seed, b, y, y_stride, in,
+                                       out, j0, tail);
+  }
+}
+
+// FmaTanh, 16 floats per step: Avx2TanhPs with k-mask blends.
+MOCC_AVX512 inline __m512 Avx512TanhPs(__m512 vx) {
+  const __m512 ax = _mm512_abs_ps(vx);
+  const __m512 sat = _mm512_set1_ps(10.0f);
+  // ax where ax<sat; NaN compares false -> sat, like !(ax<10).
+  const __m512 t = _mm512_mask_blend_ps(_mm512_cmp_ps_mask(ax, sat, _CMP_LT_OQ), sat, ax);
+  const __m512 y = _mm512_mul_ps(_mm512_set1_ps(-2.0f), t);
+  const __m512 nf =
+      _mm512_fmadd_ps(y, _mm512_set1_ps(1.44269504088896340736f), _mm512_set1_ps(-0.5f));
+  const __m512i n = _mm512_cvttps_epi32(nf);
+  const __m512 fn = _mm512_cvtepi32_ps(n);
+  const __m512 r1 = _mm512_fnmadd_ps(fn, _mm512_set1_ps(0.693359375f), y);
+  const __m512 r = _mm512_fnmadd_ps(fn, _mm512_set1_ps(-2.12194440e-4f), r1);
+  __m512 p = _mm512_set1_ps(1.0f / 40320.0f);
+  p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(1.0f / 5040.0f));
+  p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(1.0f / 720.0f));
+  p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(1.0f / 120.0f));
+  p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(1.0f / 24.0f));
+  p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(1.0f / 6.0f));
+  p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(0.5f));
+  p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(1.0f));
+  p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(1.0f));
+  const __m512 scale = _mm512_castsi512_ps(
+      _mm512_slli_epi32(_mm512_add_epi32(n, _mm512_set1_epi32(127)), 23));
+  const __m512 e = _mm512_mul_ps(p, scale);
+  const __m512 den = _mm512_fmadd_ps(p, scale, _mm512_set1_ps(1.0f));
+  const __m512 q = _mm512_mul_ps(_mm512_set1_ps(2.0f), e);
+  const __m512 z = _mm512_sub_ps(_mm512_set1_ps(1.0f), _mm512_div_ps(q, den));
+  const __m512 x2 = _mm512_mul_ps(vx, vx);
+  const __m512 small = _mm512_mul_ps(
+      vx, _mm512_fmadd_ps(x2, _mm512_set1_ps(-(1.0f / 3.0f)), _mm512_set1_ps(1.0f)));
+  const __m512 neg_z = _mm512_xor_ps(z, _mm512_set1_ps(-0.0f));
+  const __m512 signed_z = _mm512_mask_blend_ps(
+      _mm512_cmp_ps_mask(vx, _mm512_setzero_ps(), _CMP_LT_OQ), z, neg_z);
+  __m512 result = _mm512_mask_blend_ps(
+      _mm512_cmp_ps_mask(ax, _mm512_set1_ps(0.04f), _CMP_LT_OQ), signed_z, small);
+  result = _mm512_mask_blend_ps(_mm512_cmp_ps_mask(vx, vx, _CMP_UNORD_Q), result, vx);
+  return result;
+}
+
+MOCC_AVX512 void Avx512TanhArrayF32(float* data, size_t n) {
+  size_t i = 0;
+  // Two independent chains per iteration, as in Avx2TanhArrayF32.
+  for (; i + 32 <= n; i += 32) {
+    const __m512 r0 = Avx512TanhPs(_mm512_loadu_ps(data + i));
+    const __m512 r1 = Avx512TanhPs(_mm512_loadu_ps(data + i + 16));
+    _mm512_storeu_ps(data + i, r0);
+    _mm512_storeu_ps(data + i + 16, r1);
+  }
+  for (; i + 16 <= n; i += 16) {
+    _mm512_storeu_ps(data + i, Avx512TanhPs(_mm512_loadu_ps(data + i)));
+  }
+  if (i < n) {
+    const __mmask16 tail = static_cast<__mmask16>((1u << (n - i)) - 1u);
+    _mm512_mask_storeu_ps(data + i, tail,
+                          Avx512TanhPs(_mm512_maskz_loadu_ps(tail, data + i)));
+  }
+}
+
+// Double variant, 8 lanes per step. AVX-512DQ converts double <-> int64
+// directly, so the exponent needs no 32-bit detour.
+MOCC_AVX512 inline __m512d Avx512TanhPd(__m512d vx) {
+  const __m512d ax = _mm512_abs_pd(vx);
+  const __m512d sat = _mm512_set1_pd(20.0);
+  const __m512d t = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(ax, sat, _CMP_LT_OQ), sat, ax);
+  const __m512d y = _mm512_mul_pd(_mm512_set1_pd(-2.0), t);
+  const __m512d nf =
+      _mm512_fmadd_pd(y, _mm512_set1_pd(1.44269504088896340736), _mm512_set1_pd(-0.5));
+  const __m512i n = _mm512_cvttpd_epi64(nf);
+  const __m512d fn = _mm512_cvtepi64_pd(n);
+  const __m512d r1 = _mm512_fnmadd_pd(fn, _mm512_set1_pd(6.93147180369123816490e-01), y);
+  const __m512d r = _mm512_fnmadd_pd(fn, _mm512_set1_pd(1.90821492927058770002e-10), r1);
+  __m512d p = _mm512_set1_pd(1.0 / 6227020800.0);
+  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 479001600.0));
+  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 39916800.0));
+  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 3628800.0));
+  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 362880.0));
+  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 40320.0));
+  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 5040.0));
+  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 720.0));
+  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 120.0));
+  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 24.0));
+  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 6.0));
+  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(0.5));
+  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0));
+  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0));
+  const __m512d scale = _mm512_castsi512_pd(
+      _mm512_slli_epi64(_mm512_add_epi64(n, _mm512_set1_epi64(1023)), 52));
+  const __m512d e = _mm512_mul_pd(p, scale);
+  const __m512d den = _mm512_fmadd_pd(p, scale, _mm512_set1_pd(1.0));
+  const __m512d q = _mm512_mul_pd(_mm512_set1_pd(2.0), e);
+  const __m512d z = _mm512_sub_pd(_mm512_set1_pd(1.0), _mm512_div_pd(q, den));
+  const __m512d x2 = _mm512_mul_pd(vx, vx);
+  const __m512d small = _mm512_mul_pd(
+      vx, _mm512_fmadd_pd(x2, _mm512_set1_pd(-(1.0 / 3.0)), _mm512_set1_pd(1.0)));
+  const __m512d neg_z = _mm512_xor_pd(z, _mm512_set1_pd(-0.0));
+  const __m512d signed_z = _mm512_mask_blend_pd(
+      _mm512_cmp_pd_mask(vx, _mm512_setzero_pd(), _CMP_LT_OQ), z, neg_z);
+  __m512d result = _mm512_mask_blend_pd(
+      _mm512_cmp_pd_mask(ax, _mm512_set1_pd(1e-4), _CMP_LT_OQ), signed_z, small);
+  result = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(vx, vx, _CMP_UNORD_Q), result, vx);
+  return result;
+}
+
+MOCC_AVX512 void Avx512TanhArrayF64(double* data, size_t n) {
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512d r0 = Avx512TanhPd(_mm512_loadu_pd(data + i));
+    const __m512d r1 = Avx512TanhPd(_mm512_loadu_pd(data + i + 8));
+    _mm512_storeu_pd(data + i, r0);
+    _mm512_storeu_pd(data + i + 8, r1);
+  }
+  for (; i + 8 <= n; i += 8) {
+    _mm512_storeu_pd(data + i, Avx512TanhPd(_mm512_loadu_pd(data + i)));
+  }
+  if (i < n) {
+    const __mmask8 tail = static_cast<__mmask8>((1u << (n - i)) - 1u);
+    _mm512_mask_storeu_pd(data + i, tail,
+                          Avx512TanhPd(_mm512_maskz_loadu_pd(tail, data + i)));
+  }
+}
+
+#undef MOCC_AVX512
+
 constexpr Kernels kTable = {
-    Avx2RowMatVecBiasF32, Avx2RowMatVecBiasF64, Avx2RowMatVecSeededF32,
-    Avx2TanhArrayF32,     Avx2TanhArrayF64,     Avx2Int8QuantizeRow,
-    Avx2Int8Gemv,         Avx2Int8PostTanh,     Avx2MatMulUnfusedF64,
+    Avx2RowMatVecBiasF32,  Avx2RowMatVecBiasF64,
+    Avx2RowsMatVec<Avx2Ps>, Avx2RowsMatVec<Avx2Pd>,
+    Avx2TanhArrayF32,      Avx2TanhArrayF64,
+    Avx2Int8QuantizeRow,   Avx2Int8Gemv,
+    Avx2Int8PostTanh,      Avx2MatMulUnfusedF64,
+};
+
+// Only the entries above; dispatch.cc fills the rest from kTable.
+constexpr Kernels kAvx512Table = {
+    nullptr,             nullptr,             Avx512RowsMatVecF32,
+    Avx512RowsMatVecF64, Avx512TanhArrayF32,  Avx512TanhArrayF64,
+    nullptr,             nullptr,             nullptr,
+    nullptr,
 };
 
 }  // namespace
 
 const Kernels* const kAvx2KernelTable = &kTable;
+const Kernels* const kAvx512KernelTable = &kAvx512Table;
 
 }  // namespace simd
 }  // namespace mocc
@@ -598,6 +870,7 @@ const Kernels* const kAvx2KernelTable = &kTable;
 namespace mocc {
 namespace simd {
 const Kernels* const kAvx2KernelTable = nullptr;
+const Kernels* const kAvx512KernelTable = nullptr;
 }  // namespace simd
 }  // namespace mocc
 

@@ -1,5 +1,5 @@
-// NEON tier (aarch64 baseline): the float32 row mat-vec only — the cheap,
-// clearly-winning mirror. vfmaq_f32 is the same correctly rounded fused op as
+// NEON tier (aarch64 baseline): the float32 row and multi-row mat-vecs only —
+// the cheap, clearly-winning mirrors. vfmaq_f32 is the same correctly rounded fused op as
 // std::fma, per-output chains are untouched by the 4-lane j-blocking, and the
 // out==1 dot uses TWO q-register accumulators so its lane split (k ≡ l mod 8)
 // and reduction tree are value-identical to the AVX2/scalar 8-lane contract.
@@ -18,6 +18,51 @@
 namespace mocc {
 namespace simd {
 namespace {
+
+#include "src/nn/simd/scalar_kernels.inc"
+
+// Multi-row f32 mat-vec (RefRowsMatVec mirror): per row, 16- and 4-wide
+// column blocks with the accumulators seeded from `seed` (zero when null) and
+// the bias add skipped when `b` is null; the wide single-row kernel below is
+// its n == 1 case.
+template <int NV>  // NV 4-wide column blocks per k-pass
+inline void NeonRowsBlock(const float* x, const float* w, const float* seed,
+                          const float* b, float* y, size_t in, size_t out,
+                          size_t j0) {
+  float32x4_t acc[NV];
+  for (int v = 0; v < NV; ++v) {
+    acc[v] = seed != nullptr ? vld1q_f32(seed + j0 + 4 * v) : vdupq_n_f32(0.0f);
+  }
+  const float* wp = w + j0;
+  for (size_t k = 0; k < in; ++k, wp += out) {
+    const float32x4_t xk = vdupq_n_f32(x[k]);
+    for (int v = 0; v < NV; ++v) {
+      acc[v] = vfmaq_f32(acc[v], xk, vld1q_f32(wp + 4 * v));
+    }
+  }
+  for (int v = 0; v < NV; ++v) {
+    float32x4_t r = acc[v];
+    if (b != nullptr) {
+      r = vaddq_f32(r, vld1q_f32(b + j0 + 4 * v));
+    }
+    vst1q_f32(y + j0 + 4 * v, r);
+  }
+}
+
+void NeonRowsMatVecF32(const float* x, size_t x_stride, size_t n, const float* w,
+                       const float* seed, const float* b, float* y, size_t y_stride,
+                       size_t in, size_t out) {
+  for (size_t r = 0; r < n; ++r) {
+    const float* xr = x + r * x_stride;
+    float* yr = y + r * y_stride;
+    size_t j0 = 0;
+    for (; j0 + 16 <= out; j0 += 16) NeonRowsBlock<4>(xr, w, seed, b, yr, in, out, j0);
+    for (; j0 + 4 <= out; j0 += 4) NeonRowsBlock<1>(xr, w, seed, b, yr, in, out, j0);
+    if (j0 < out) {
+      RefRowsMatVecCols(xr, x_stride, 1, w, seed, b, yr, y_stride, in, out, j0);
+    }
+  }
+}
 
 void NeonRowMatVecBiasF32(const float* x, const float* w, const float* b, float* y,
                           size_t in, size_t out) {
@@ -41,46 +86,12 @@ void NeonRowMatVecBiasF32(const float* x, const float* w, const float* b, float*
     y[0] = sum + b[0];
     return;
   }
-  size_t j0 = 0;
-  for (; j0 + 16 <= out; j0 += 16) {
-    float32x4_t a0 = vdupq_n_f32(0.0f);
-    float32x4_t a1 = vdupq_n_f32(0.0f);
-    float32x4_t a2 = vdupq_n_f32(0.0f);
-    float32x4_t a3 = vdupq_n_f32(0.0f);
-    const float* wp = w + j0;
-    for (size_t k = 0; k < in; ++k, wp += out) {
-      const float32x4_t xk = vdupq_n_f32(x[k]);
-      a0 = vfmaq_f32(a0, xk, vld1q_f32(wp));
-      a1 = vfmaq_f32(a1, xk, vld1q_f32(wp + 4));
-      a2 = vfmaq_f32(a2, xk, vld1q_f32(wp + 8));
-      a3 = vfmaq_f32(a3, xk, vld1q_f32(wp + 12));
-    }
-    vst1q_f32(y + j0, vaddq_f32(a0, vld1q_f32(b + j0)));
-    vst1q_f32(y + j0 + 4, vaddq_f32(a1, vld1q_f32(b + j0 + 4)));
-    vst1q_f32(y + j0 + 8, vaddq_f32(a2, vld1q_f32(b + j0 + 8)));
-    vst1q_f32(y + j0 + 12, vaddq_f32(a3, vld1q_f32(b + j0 + 12)));
-  }
-  for (; j0 + 4 <= out; j0 += 4) {
-    float32x4_t a0 = vdupq_n_f32(0.0f);
-    const float* wp = w + j0;
-    for (size_t k = 0; k < in; ++k, wp += out) {
-      a0 = vfmaq_f32(a0, vdupq_n_f32(x[k]), vld1q_f32(wp));
-    }
-    vst1q_f32(y + j0, vaddq_f32(a0, vld1q_f32(b + j0)));
-  }
-  for (; j0 < out; ++j0) {
-    float acc = 0.0f;
-    const float* wp = w + j0;
-    for (size_t k = 0; k < in; ++k, wp += out) {
-      acc = std::fma(x[k], *wp, acc);
-    }
-    y[j0] = acc + b[j0];
-  }
+  NeonRowsMatVecF32(x, in, 1, w, /*seed=*/nullptr, b, y, out, in, out);
 }
 
 constexpr Kernels kTable = {
-    NeonRowMatVecBiasF32, nullptr, nullptr, nullptr, nullptr, nullptr, nullptr, nullptr,
-    nullptr,
+    NeonRowMatVecBiasF32, nullptr, NeonRowsMatVecF32, nullptr, nullptr,
+    nullptr,              nullptr, nullptr,           nullptr, nullptr,
 };
 
 }  // namespace

@@ -25,9 +25,10 @@ void ScalarRowMatVecBiasF64(const double* x, const double* w, const double* b,
 }
 
 constexpr Kernels kTable = {
-    ScalarRowMatVecBiasF32, ScalarRowMatVecBiasF64, RefRowMatVecSeededF32,
-    RefTanhArrayF32,        RefTanhArrayF64,      RefInt8QuantizeRow,
-    RefInt8Gemv,            RefInt8PostTanh,      RefMatMulUnfusedF64,
+    ScalarRowMatVecBiasF32, ScalarRowMatVecBiasF64, RefRowsMatVec<float>,
+    RefRowsMatVec<double>,  RefTanhArrayF32,        RefTanhArrayF64,
+    RefInt8QuantizeRow,     RefInt8Gemv,            RefInt8PostTanh,
+    RefMatMulUnfusedF64,
 };
 
 }  // namespace

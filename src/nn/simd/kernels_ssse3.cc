@@ -43,8 +43,8 @@ void Ssse3Int8Gemv(const uint8_t* x, const int8_t* packed, size_t in_pad,
 }
 
 constexpr Kernels kTable = {
-    nullptr, nullptr, nullptr, nullptr, nullptr, nullptr, Ssse3Int8Gemv, nullptr,
-    nullptr,
+    nullptr, nullptr, nullptr, nullptr, nullptr,
+    nullptr, nullptr, Ssse3Int8Gemv, nullptr, nullptr,
 };
 
 }  // namespace

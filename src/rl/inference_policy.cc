@@ -127,7 +127,7 @@ PreferenceFloat32Policy::PreferenceFloat32Policy(
       int8_(int8) {
   assert(actor_pn.in_dim() == weight_dim && critic_pn.in_dim() == weight_dim);
   assert(actor_trunk.in_dim() == pn_out_ + hist_dim);
-  // Both heads share pn_out_ as the history-copy offset in ForwardHeadRow, so the
+  // Both heads share pn_out_ as the history-copy offset in ForwardHead, so the
   // critic's shapes must match the actor's too (not just its own concat sizing).
   assert(critic_pn.out_dim() == pn_out_);
   assert(critic_trunk.in_dim() == pn_out_ + hist_dim);
@@ -156,6 +156,11 @@ void PreferenceFloat32Policy::InvalidatePnCache() {
   critic_.pn_cache_valid = false;
 }
 
+bool PreferenceFloat32Policy::PnHit(const Head& head, const float* obs) const {
+  return head.pn_cache_valid &&
+         std::equal(obs, obs + weight_dim_, head.pn_cache_w.begin());
+}
+
 void PreferenceFloat32Policy::RefreshPnCache(Head* head, const float* obs) {
   head->pn.ForwardRow(obs, head->concat_row.data());
   std::copy(obs, obs + weight_dim_, head->pn_cache_w.begin());
@@ -167,124 +172,111 @@ void PreferenceFloat32Policy::RefreshPnCache(Head* head, const float* obs) {
     if (head->qtrunk.split() > 0) {
       head->qtrunk.SeedPrefix(head->concat_row.data());
     }
-    return;  // the float l0_partial below belongs to the float32 row path
+    return;  // the float l0_partial below belongs to the float32 trunk walk
   }
   // Re-derive the trunk layer-0 accumulators over the PN feature slice (the
   // first pn_out_ inputs): per-output fma chains from zero, no bias — exactly
   // the prefix of the full layer-0 evaluation.
   const DenseLayerT<float>& l0 = head->trunk.layer(0);
-  simd::RowMatVecSeeded(head->concat_row.data(), l0.weights().data(),
-                        /*seed=*/nullptr, /*b=*/nullptr, head->l0_partial.data(),
-                        pn_out_, l0.out_dim());
+  simd::RowsMatVec(head->concat_row.data(), pn_out_, 1, l0.weights().data(),
+                   /*seed=*/nullptr, /*b=*/nullptr, head->l0_partial.data(),
+                   l0.out_dim(), pn_out_, l0.out_dim());
 }
 
-void PreferenceFloat32Policy::ForwardHeadRow(Head* head, const float* obs, float* out) {
-  // Mirrors PreferenceActorCritic::ForwardHeadRow, plus the deployment-only
-  // cached-prefix trick: the PN features AND the trunk layer-0 partial sums
-  // over them depend only on the leading weight vector, which is constant
-  // across monitor intervals in steady state. On a cache hit the first trunk
-  // layer therefore resumes its per-output chains over the hist_dim_ history
-  // inputs alone (30 of 46 multiplies for the Figure-3 shape), bit-identical
-  // to the unsplit evaluation the batch path runs (a seeded resume is the same
-  // fma sequence; tests/serving_test.cc and tests/nn_float32_test.cc pin it).
-  const bool pn_hit =
-      head->pn_cache_valid &&
-      std::equal(obs, obs + weight_dim_, head->pn_cache_w.begin());
-  if (!pn_hit) {
-    RefreshPnCache(head, obs);
-  }
-  if (int8_) {
-    if (head->qtrunk.split() > 0) {
-      // Seeded: the PN slice is already folded into the layer-0 bias, so the
-      // history slice feeds the quantized trunk straight out of `obs`.
-      head->qtrunk.ForwardRowSuffix(obs + weight_dim_, out);
-    } else {
-      std::copy(obs + weight_dim_, obs + weight_dim_ + hist_dim_,
+void PreferenceFloat32Policy::ForwardHead(Head* head, const float* obs, size_t n,
+                                          float* out) {
+  // Mirrors PreferenceActorCritic::ForwardHeadRow over n rows, with the
+  // deployment-only cached-prefix trick: the PN features AND the trunk layer-0
+  // partial sums over them depend only on the leading weight vector. The PN
+  // cache rolls through the rows exactly as it would across n sequential
+  // calls: a row whose leading weight vector matches the cache reuses it, a
+  // mismatch recomputes and re-keys it (RefreshPnCache), so callers that sort
+  // rows by weight prefix pay one PN pass per distinct prefix.
+  const size_t dim = obs_dim();
+  const DenseLayerT<float>& l0 = head->trunk.layer(0);
+  const size_t out0 = l0.out_dim();
+  const size_t trunk_out = head->trunk.out_dim();
+  if (int8_ || out0 == 1) {
+    // Row by row. int8: the quantized trunk has no batched kernel (the first
+    // layer's input scale is per row anyway). out0 == 1: the degenerate
+    // single-output first layer's contract is the 8-lane dot split, which a
+    // seeded resume cannot reproduce, so it runs the classic concat + full
+    // trunk forward.
+    for (size_t i = 0; i < n; ++i) {
+      const float* row = obs + i * dim;
+      float* dst = out + i * trunk_out;
+      if (!PnHit(*head, row)) {
+        RefreshPnCache(head, row);
+      }
+      if (int8_ && head->qtrunk.split() > 0) {
+        // Seeded: the PN slice is already folded into the layer-0 bias, so
+        // the history slice feeds the quantized trunk straight out of `obs`.
+        head->qtrunk.ForwardRowSuffix(row + weight_dim_, dst);
+        continue;
+      }
+      std::copy(row + weight_dim_, row + dim,
                 head->concat_row.begin() + static_cast<ptrdiff_t>(pn_out_));
-      head->qtrunk.ForwardRow(head->concat_row.data(), out);
+      if (int8_) {
+        head->qtrunk.ForwardRow(head->concat_row.data(), dst);
+      } else {
+        head->trunk.ForwardRow(head->concat_row.data(), dst);
+      }
     }
     return;
   }
   const size_t layers = head->trunk.layer_count();
-  const DenseLayerT<float>& l0 = head->trunk.layer(0);
-  const size_t out0 = l0.out_dim();
-  if (out0 == 1) {
-    // Degenerate single-output first layer: the plain kernel's out==1 contract
-    // is the 8-lane dot split, which a seeded resume cannot reproduce — run
-    // the classic concat + full trunk forward instead.
-    std::copy(obs + weight_dim_, obs + weight_dim_ + hist_dim_,
-              head->concat_row.begin() + static_cast<ptrdiff_t>(pn_out_));
-    head->trunk.ForwardRow(head->concat_row.data(), out);
-    return;
+  const size_t width = head->trunk.MaxDim();
+  if (head->scratch0.size() < n * width) {
+    head->scratch0.resize(n * width);
+    head->scratch1.resize(n * width);
   }
   float* cur = head->scratch0.data();
   float* nxt = head->scratch1.data();
   float* dst0 = layers == 1 ? out : cur;
-  // Layer 0: resume the cached chains over the history slice (rows pn_out_..
-  // of W, i.e. columns of the concat input we did not pre-multiply).
-  simd::RowMatVecSeeded(obs + weight_dim_, l0.weights().data() + pn_out_ * out0,
-                        head->l0_partial.data(), l0.bias().data(), dst0,
-                        hist_dim_, out0);
-  ApplyActivation(l0.activation(), dst0, out0);
+  // Layer 0, one run of equal weight prefix at a time: resume the cached
+  // chains over the history slice (rows pn_out_.. of W) straight out of the
+  // observation rows. Bit-identical to the unsplit evaluation, because a
+  // seeded resume is the same per-output fma sequence (tests/serving_test.cc
+  // and tests/nn_float32_test.cc pin it).
+  const float* w_hist = l0.weights().data() + pn_out_ * out0;
+  for (size_t i = 0; i < n;) {
+    const float* row = obs + i * dim;
+    if (!PnHit(*head, row)) {
+      RefreshPnCache(head, row);
+    }
+    size_t end = i + 1;
+    while (end < n && PnHit(*head, obs + end * dim)) {
+      ++end;
+    }
+    simd::RowsMatVec(row + weight_dim_, dim, end - i, w_hist, head->l0_partial.data(),
+                     l0.bias().data(), dst0 + i * out0, out0, hist_dim_, out0);
+    i = end;
+  }
+  ApplyActivation(l0.activation(), dst0, n * out0);
+  // The wider layers over the whole batch (MatMulBiasRowsInto: the multi-row
+  // kernel, the lane-split row kernel for the out == 1 head). Activations are
+  // elementwise, so the flattened sweep matches per-row application.
   for (size_t li = 1; li < layers; ++li) {
     const DenseLayerT<float>& l = head->trunk.layer(li);
     float* dst = li + 1 == layers ? out : nxt;
-    simd::RowMatVecBias(cur, l.weights().data(), l.bias().data(), dst, l.in_dim(),
-                        l.out_dim());
-    ApplyActivation(l.activation(), dst, l.out_dim());
+    MatMulBiasRowsInto(cur, n, l.weights(), l.bias(), dst);
+    ApplyActivation(l.activation(), dst, n * l.out_dim());
     std::swap(cur, nxt);
   }
 }
 
 void PreferenceFloat32Policy::ForwardBatchF32Actor(const float* obs, size_t n,
                                                    float* means) {
-  // Batch counterpart of ForwardHeadRow on the actor head. The PN cache rolls
-  // through the batch exactly as it would across n sequential calls: a row whose
-  // leading weight vector matches the current cache reuses the concat prefix, a
-  // mismatch recomputes and re-keys it. Callers that sort rows by weight prefix
-  // therefore pay one PN pass per distinct prefix. The trunk then runs one
-  // batched forward over the staged concat rows (out_dim 1 → straight into
-  // `means`), bit-identical per row to the sequential trunk.ForwardRow.
-  Head* head = &actor_;
-  const size_t concat_dim = pn_out_ + hist_dim_;
-  const size_t dim = obs_dim();
-  if (int8_) {
-    // The quantized trunk has no batched kernel (the first layer's input scale
-    // is per-row anyway), so the batch is just the row path in a loop: the
-    // PN-cache roll — and with it the SeedPrefix fold — happens inline, and
-    // each row's history slice feeds ForwardRowSuffix straight out of `obs`.
-    for (size_t i = 0; i < n; ++i) {
-      const float* row = obs + i * dim;
-      ForwardHeadRow(head, row, means + i);
-    }
-    return;
-  }
-  batch_concat_.Resize(n, concat_dim);
-  float* staged = batch_concat_.data();
-  for (size_t i = 0; i < n; ++i) {
-    const float* row = obs + i * dim;
-    const bool pn_hit = head->pn_cache_valid &&
-                        std::equal(row, row + weight_dim_, head->pn_cache_w.begin());
-    if (!pn_hit) {
-      // RefreshPnCache (not an inline PN forward): the row path's cached
-      // l0_partial must stay in sync with whatever prefix this batch leaves
-      // behind, or the next single-row call would resume stale chains.
-      RefreshPnCache(head, row);
-    }
-    float* dst = staged + i * concat_dim;
-    std::copy(head->concat_row.data(), head->concat_row.data() + pn_out_, dst);
-    std::copy(row + weight_dim_, row + dim, dst + pn_out_);
-  }
-  head->trunk.ForwardBatchRows(staged, n, means);
+  ForwardHead(&actor_, obs, n, means);
 }
 
 void PreferenceFloat32Policy::ForwardRowF32(const float* obs, float* mean, float* value) {
-  ForwardHeadRow(&actor_, obs, mean);
-  ForwardHeadRow(&critic_, obs, value);
+  ForwardHead(&actor_, obs, 1, mean);
+  ForwardHead(&critic_, obs, 1, value);
 }
 
 void PreferenceFloat32Policy::ForwardRowF32Actor(const float* obs, float* mean) {
-  ForwardHeadRow(&actor_, obs, mean);
+  ForwardHead(&actor_, obs, 1, mean);
 }
 
 }  // namespace mocc

@@ -5,9 +5,13 @@
 // forward passes — Figure 17's overhead budget. An InferencePolicy is a frozen
 // float32 replica of a trained ActorCritic: half the weight bytes per inference
 // (the whole Figure-3 model drops under L1 size) and twice the SIMD lanes through
-// the identical RowMatVecBias/FastTanh kernels, at the cost of float rounding that
-// the precision test harness bounds (tests/nn_float32_test.cc, tests/rl_test.cc
-// parity suite, tests/golden_inference_test.cc).
+// the identical dispatched mat-vec/FastTanh kernels, at the cost of float
+// rounding that the precision test harness bounds (tests/nn_float32_test.cc,
+// tests/rl_test.cc parity suite, tests/golden_inference_test.cc). Batches
+// (ActionMeansF32, the serving layer's path) run every layer with more than
+// one output through the multi-row kernel simd::RowsMatVec, and the preference
+// replica seeds its first layer per run of equal weight prefix from the
+// cached PN slice; a batch row equals a single-row call bit for bit.
 //
 // Concrete backends exist for both model families: MlpFloat32Policy mirrors
 // MlpActorCritic (two independent MLPs), PreferenceFloat32Policy mirrors the
@@ -177,25 +181,38 @@ class PreferenceFloat32Policy : public InferencePolicy {
     MlpT<float> pn;
     MlpT<float> trunk;
     // Single-row workspace: [PN features | history]. The PN-feature prefix
-    // doubles as the cache for pn_cache_w (the batch path stages from it; the
-    // row path only writes the prefix on a PN recompute).
-    std::vector<float> concat_row;
+    // doubles as the cache for pn_cache_w (the concat rows of the int8 and
+    // out0 == 1 paths stage from it; the float32 trunk walk reads only
+    // l0_partial).
+    AlignedVector<float> concat_row;
     std::vector<float> pn_cache_w;
     bool pn_cache_valid = false;
     // Trunk layer-0 accumulators over the PN feature slice, cached alongside
-    // the PN features: the per-step row forward resumes these chains over the
-    // history slice only (simd::RowMatVecSeeded), skipping weight_dim columns'
-    // worth of first-layer multiplies. Bit-identical to the full evaluation
-    // because a seeded resume executes the same per-output fma sequence.
-    std::vector<float> l0_partial;
-    // Ping/pong rows for the policy-owned trunk walk (sized trunk.MaxDim()).
-    std::vector<float> scratch0;
-    std::vector<float> scratch1;
+    // the PN features: the float32 trunk walk resumes these chains over the
+    // history slice only (simd::RowsMatVec with a seed), skipping weight_dim
+    // columns' worth of first-layer multiplies per row. Bit-identical to the
+    // full evaluation because a seeded resume executes the same per-output
+    // fma sequence.
+    AlignedVector<float> l0_partial;
+    // Ping/pong activations for the trunk walk: n rows x trunk.MaxDim(),
+    // grown to the largest batch seen (capacity reused).
+    AlignedVector<float> scratch0;
+    AlignedVector<float> scratch1;
     // Int8-mode quantized trunk (unused in float32 mode).
     QuantizedMlp qtrunk;
   };
 
-  void ForwardHeadRow(Head* head, const float* obs, float* out);
+  // The one trunk forward for rows and batches: `out` receives n x
+  // trunk.out_dim() values for n packed observation rows. float32 walks runs
+  // of equal weight prefix (refreshing the PN cache on a change), runs layer
+  // 0 over each run's history columns straight out of `obs`, seeded from
+  // l0_partial, then the wider layers over the whole batch; the int8 and
+  // out0 == 1 paths go row by row. Every output row is bit-identical to an
+  // n = 1 call on the same cache state.
+  void ForwardHead(Head* head, const float* obs, size_t n, float* out);
+
+  // Whether `obs`'s weight prefix is the one head's PN cache holds.
+  bool PnHit(const Head& head, const float* obs) const;
 
   // Recomputes head->concat_row's PN prefix and the cached l0_partial from the
   // weight prefix of `obs`, and re-keys pn_cache_w.
@@ -208,7 +225,6 @@ class PreferenceFloat32Policy : public InferencePolicy {
   Head actor_;
   Head critic_;
   int64_t pn_recompute_count_ = 0;
-  MatrixT<float> batch_concat_;  // ForwardBatchF32Actor staging: n x (pn_out_+hist)
 };
 
 }  // namespace mocc

@@ -24,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
@@ -285,17 +287,24 @@ TEST(GoldenInferenceTest, CommittedForwardGoldensByteIdenticalWithEcnSignalOff) 
     }
     return bytes;
   };
-  const std::string regen_f = ::testing::TempDir() + "/golden_forward_regen.txt";
+  // Per-process names: ctest runs this binary twice at once (plain and under
+  // MOCC_FORCE_SCALAR=1), and a shared temp file let one run read the other's
+  // half-written output.
+  const std::string tmp_prefix =
+      ::testing::TempDir() + "/golden_forward_" + std::to_string(getpid());
+  const std::string regen_f = tmp_prefix + "_regen.txt";
   ASSERT_TRUE(WriteGoldenOutputs(regen_f, ComputeRows(model.get())));
   const std::string committed_f = slurp(DataPath("golden_forward.txt"));
   ASSERT_FALSE(committed_f.empty());
   EXPECT_EQ(slurp(regen_f), committed_f) << "golden_forward.txt";
 
-  const std::string regen_q = ::testing::TempDir() + "/golden_forward_int8_regen.txt";
+  const std::string regen_q = tmp_prefix + "_int8_regen.txt";
   ASSERT_TRUE(WriteInt8Outputs(regen_q, ComputeInt8Rows(model.get())));
   const std::string committed_q = slurp(DataPath("golden_forward_int8.txt"));
   ASSERT_FALSE(committed_q.empty());
   EXPECT_EQ(slurp(regen_q), committed_q) << "golden_forward_int8.txt";
+  std::remove(regen_f.c_str());
+  std::remove(regen_q.c_str());
 }
 
 }  // namespace

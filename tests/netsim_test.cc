@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <random>
@@ -14,6 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include "src/baselines/cubic.h"
+#include "src/baselines/rl_cc.h"
+#include "src/core/mocc_config.h"
+#include "src/core/preference_model.h"
+#include "src/netsim/aqm.h"
 #include "src/netsim/cc_interface.h"
 #include "src/netsim/event_engine.h"
 #include "src/netsim/fluid_link.h"
@@ -722,6 +728,189 @@ TEST(PacketNetworkTest, DeferredAckCoalescingMatchesPerAckEvents) {
     EXPECT_EQ(a.loss_rate, b.loss_rate) << "report " << i;
     EXPECT_EQ(a.packets_marked, b.packets_marked) << "report " << i;
     EXPECT_EQ(a.ecn_rate, b.ecn_rate) << "report " << i;
+  }
+}
+
+// Forwards every callback to `inner` and records what the simulator handed
+// it: loss-notice times, MonitorReports, and the rate after each MI. With
+// force_per_ack it asks for per-ACK events whatever `inner` says — the
+// reference a deferred run must reproduce.
+class ForwardingCc : public CongestionControl {
+ public:
+  ForwardingCc(std::unique_ptr<CongestionControl> inner, bool force_per_ack)
+      : inner_(std::move(inner)), force_per_ack_(force_per_ack) {}
+  CcMode Mode() const override { return inner_->Mode(); }
+  std::string Name() const override { return inner_->Name(); }
+  void OnFlowStart(double now_s) override { inner_->OnFlowStart(now_s); }
+  void OnAck(const AckInfo& ack) override { inner_->OnAck(ack); }
+  void OnPacketLost(const LossInfo& loss) override {
+    loss_times.push_back(loss.detect_time_s);
+    inner_->OnPacketLost(loss);
+  }
+  void OnTimeout(double now_s) override { inner_->OnTimeout(now_s); }
+  void OnMonitorInterval(const MonitorReport& report) override {
+    reports.push_back(report);
+    inner_->OnMonitorInterval(report);
+    rates.push_back(inner_->PacingRateBps());
+  }
+  double PacingRateBps() const override { return inner_->PacingRateBps(); }
+  double CwndPackets() const override { return inner_->CwndPackets(); }
+  bool NeedsPerAckEvents() const override {
+    return force_per_ack_ || inner_->NeedsPerAckEvents();
+  }
+
+  CongestionControl* inner() const { return inner_.get(); }
+  std::vector<double> loss_times;
+  std::vector<MonitorReport> reports;
+  std::vector<double> rates;
+
+ private:
+  std::unique_ptr<CongestionControl> inner_;
+  bool force_per_ack_;
+};
+
+// A fixed-rate monitor-interval rater that opts out of per-ACK events.
+class DeferringRateCc : public FixedRateCc {
+ public:
+  using FixedRateCc::FixedRateCc;
+  bool NeedsPerAckEvents() const override { return false; }
+};
+
+void ExpectSameReports(const std::vector<MonitorReport>& a,
+                       const std::vector<MonitorReport>& b, const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].start_time_s, b[i].start_time_s) << what << " report " << i;
+    EXPECT_EQ(a[i].duration_s, b[i].duration_s) << what << " report " << i;
+    EXPECT_EQ(a[i].packets_sent, b[i].packets_sent) << what << " report " << i;
+    EXPECT_EQ(a[i].packets_acked, b[i].packets_acked) << what << " report " << i;
+    EXPECT_EQ(a[i].packets_lost, b[i].packets_lost) << what << " report " << i;
+    EXPECT_EQ(a[i].send_rate_bps, b[i].send_rate_bps) << what << " report " << i;
+    EXPECT_EQ(a[i].throughput_bps, b[i].throughput_bps) << what << " report " << i;
+    EXPECT_EQ(a[i].avg_rtt_s, b[i].avg_rtt_s) << what << " report " << i;
+    EXPECT_EQ(a[i].min_rtt_s, b[i].min_rtt_s) << what << " report " << i;
+    EXPECT_EQ(a[i].loss_rate, b[i].loss_rate) << what << " report " << i;
+    EXPECT_EQ(a[i].packets_marked, b[i].packets_marked) << what << " report " << i;
+  }
+}
+
+void ExpectSameRecords(const FlowRecord& a, const FlowRecord& b, const std::string& what) {
+  EXPECT_EQ(a.total_sent, b.total_sent) << what;
+  EXPECT_EQ(a.total_acked, b.total_acked) << what;
+  EXPECT_EQ(a.total_lost, b.total_lost) << what;
+  EXPECT_EQ(a.total_marked, b.total_marked) << what;
+  EXPECT_EQ(a.bits_acked, b.bits_acked) << what;
+  EXPECT_EQ(a.first_send_time_s, b.first_send_time_s) << what;
+  EXPECT_EQ(a.last_ack_time_s, b.last_ack_time_s) << what;
+  EXPECT_EQ(a.min_rtt_s, b.min_rtt_s) << what;
+  EXPECT_EQ(a.ack_times(), b.ack_times()) << what;
+}
+
+// Runs `flows` deferrable schemes next to one CUBIC flow on a 10 Mbps CoDel
+// bottleneck, either deferred or forced per-ACK, and hands back the wrappers
+// and the records.
+struct CodelRun {
+  std::vector<ForwardingCc*> ccs;
+  std::vector<FlowRecord> records;
+  std::unique_ptr<PacketNetwork> net;
+};
+
+CodelRun RunCodelMix(const std::vector<std::function<std::unique_ptr<CongestionControl>()>>& makers,
+                     bool force_per_ack, double seconds) {
+  LinkParams p;
+  p.bandwidth_bps = 10e6;
+  p.one_way_delay_s = 0.02;
+  p.queue_capacity_pkts = 300;
+  NetworkTopology topology = NetworkTopology::SingleBottleneck(p);
+  topology.links[0].aqm.kind = AqmKind::kCodel;
+  CodelRun run;
+  run.net = std::make_unique<PacketNetwork>(topology, 61);
+  std::vector<int> ids;
+  for (const auto& make : makers) {
+    FlowOptions options;
+    options.mi_fixed_duration_s = 0.030;
+    auto cc = std::make_unique<ForwardingCc>(make(), force_per_ack);
+    run.ccs.push_back(cc.get());
+    ids.push_back(run.net->AddFlow(std::move(cc), options));
+  }
+  ids.push_back(run.net->AddFlow(std::make_unique<CubicCc>()));
+  run.net->Run(seconds);
+  for (int id : ids) {
+    run.records.push_back(run.net->record(id));
+  }
+  return run;
+}
+
+TEST(PacketNetworkTest, DeferredAcksExactUnderCodelDropsInOtherFlowsEvents) {
+  // CoDel drops at dequeue, inside whichever flow's link-done event started
+  // service, and the loss-notice delay reads the DROPPED flow's smoothed RTT.
+  // A deferred flow's ACKs that arrived before the drop must be applied
+  // first, or its notices land at different times than with per-ACK events.
+  const std::vector<std::function<std::unique_ptr<CongestionControl>()>> makers = {
+      [] { return std::make_unique<DeferringRateCc>(4.0e6); },
+      [] { return std::make_unique<DeferringRateCc>(3.5e6); },
+      [] { return std::make_unique<DeferringRateCc>(3.0e6); },
+  };
+  const CodelRun deferred = RunCodelMix(makers, /*force_per_ack=*/false, 10.0);
+  const CodelRun per_ack = RunCodelMix(makers, /*force_per_ack=*/true, 10.0);
+  size_t losses = 0;
+  for (size_t f = 0; f < makers.size(); ++f) {
+    const std::string what = "flow " + std::to_string(f);
+    losses += per_ack.ccs[f]->loss_times.size();
+    EXPECT_EQ(deferred.ccs[f]->loss_times, per_ack.ccs[f]->loss_times) << what;
+    ExpectSameReports(deferred.ccs[f]->reports, per_ack.ccs[f]->reports, what);
+  }
+  EXPECT_GT(losses, 500u) << "the link must be overdriven into CoDel's dropping state";
+  for (size_t i = 0; i < deferred.records.size(); ++i) {
+    ExpectSameRecords(deferred.records[i], per_ack.records[i],
+                      "record " + std::to_string(i));
+  }
+}
+
+TEST(PacketNetworkTest, RlControllersDeferAcksWithIdenticalDecisions) {
+  // RlRateController opts out of per-ACK events; with the guard off and on,
+  // its rates and decision counts must equal a forced per-ACK run's, next to
+  // CUBIC on a CoDel bottleneck.
+  MoccConfig config;
+  Rng rng(23);
+  auto model = std::make_shared<PreferenceActorCritic>(config, &rng);
+  for (bool guard : {false, true}) {
+    std::vector<std::function<std::unique_ptr<CongestionControl>()>> makers;
+    for (const std::vector<double>& w :
+         {std::vector<double>{0.8, 0.1, 0.1}, std::vector<double>{0.1, 0.8, 0.1},
+          std::vector<double>{0.1, 0.1, 0.8}}) {
+      makers.push_back([model, w, guard] {
+        RlRateController::Options options;
+        options.observation_prefix = w;
+        options.precision = Precision::kFloat32;
+        options.initial_rate_bps = 4e6;
+        options.guard = guard;
+        return std::make_unique<RlRateController>(model, options);
+      });
+    }
+    EXPECT_FALSE(makers[0]()->NeedsPerAckEvents());
+    const CodelRun deferred = RunCodelMix(makers, /*force_per_ack=*/false, 8.0);
+    const CodelRun per_ack = RunCodelMix(makers, /*force_per_ack=*/true, 8.0);
+    for (size_t f = 0; f < makers.size(); ++f) {
+      const std::string what =
+          std::string(guard ? "guarded" : "unguarded") + " flow " + std::to_string(f);
+      const auto* d = static_cast<const RlRateController*>(deferred.ccs[f]->inner());
+      const auto* e = static_cast<const RlRateController*>(per_ack.ccs[f]->inner());
+      EXPECT_GT(e->inference_count(), 100) << what;
+      EXPECT_EQ(d->inference_count(), e->inference_count()) << what;
+      EXPECT_EQ(deferred.ccs[f]->rates, per_ack.ccs[f]->rates) << what;
+      EXPECT_EQ(deferred.ccs[f]->loss_times, per_ack.ccs[f]->loss_times) << what;
+      ExpectSameReports(deferred.ccs[f]->reports, per_ack.ccs[f]->reports, what);
+      if (guard) {
+        ASSERT_NE(d->guard(), nullptr) << what;
+        EXPECT_EQ(d->guard()->trip_count(), e->guard()->trip_count()) << what;
+      }
+    }
+    for (size_t i = 0; i < deferred.records.size(); ++i) {
+      ExpectSameRecords(deferred.records[i], per_ack.records[i],
+                        std::string(guard ? "guarded" : "unguarded") + " record " +
+                            std::to_string(i));
+    }
   }
 }
 

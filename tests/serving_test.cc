@@ -1,6 +1,6 @@
 // The serving-layer contract suite (`ctest -L serving`): batched float32
 // inference must be BIT-IDENTICAL to the sequential single-row path at every
-// level — the MatMulBiasInto row-pair tiling, MlpT::ForwardBatchRows, the
+// level — the MatMulBiasInto multi-row tiling, MlpT::ForwardBatchRows, the
 // InferencePolicy batch API — and both deployment shapes (a many-connection
 // ServingEngine and per-flow RlRateControllers, which are one-connection
 // engines) must decide every connection exactly as an independent reference
@@ -64,34 +64,40 @@ WeightVector FlowWeight(int flow) {
   return kMix[flow % 4];
 }
 
-void FillRandom(MatrixT<float>* m, Rng* rng) {
+template <typename T>
+void FillRandom(MatrixT<T>* m, Rng* rng) {
   for (size_t i = 0; i < m->rows() * m->cols(); ++i) {
-    m->data()[i] = static_cast<float>(rng->Uniform(-1.0, 1.0));
+    m->data()[i] = static_cast<T>(rng->Uniform(-1.0, 1.0));
   }
 }
 
+// Row counts covering every row-tile remainder of the multi-row kernel (1-,
+// 2- and 4-row tiles, on every tier) plus a serving-sized batch.
+const size_t kTileRowCounts[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 33, 256};
+
 // --- 1. Kernel level: batched MatMulBiasInto == per-row results -------------
 
-TEST(ServingKernelTest, MatMulBiasIntoBatchRowsBitIdenticalToSingleRows) {
-  Rng rng(7);
-  // Odd shapes exercise the 16/8/scalar tile tails; m covers the row-pair path
-  // (even), the trailing-row path (odd) and the degenerate 1-row case.
-  for (const size_t m : {size_t(1), size_t(2), size_t(3), size_t(6), size_t(9)}) {
+template <typename T>
+void ExpectBatchRowsMatchSingleRows(uint64_t seed) {
+  Rng rng(seed);
+  // Odd shapes exercise the column-tile tails (masked or scalar); 64 and 32
+  // outputs are the trunk's 2 x 64 / 4 x 32 tiles; n == 1 is the row kernel's
+  // lane-split head.
+  for (const size_t m : kTileRowCounts) {
     for (const size_t k : {size_t(5), size_t(17), size_t(33)}) {
-      for (const size_t n : {size_t(1), size_t(7), size_t(24)}) {
-        MatrixT<float> a(m, k), b(k, n), bias(1, n), batch(m, n);
+      for (const size_t n : {size_t(1), size_t(7), size_t(24), size_t(32), size_t(64)}) {
+        MatrixT<T> a(m, k), b(k, n), bias(1, n), batch(m, n);
         FillRandom(&a, &rng);
         FillRandom(&b, &rng);
         FillRandom(&bias, &rng);
         MatMulBiasInto(a, b, bias, &batch);
+        std::vector<T> out(n);
         for (size_t r = 0; r < m; ++r) {
-          MatrixT<float> row(1, k), out(1, n);
-          std::memcpy(row.data(), a.data() + r * k, k * sizeof(float));
-          MatMulBiasInto(row, b, bias, &out);
+          // The single-row kernel every ForwardRow runs.
+          RowMatVecBias(a.RowPtr(r), b.data(), bias.data(), out.data(), k, n);
           for (size_t c = 0; c < n; ++c) {
-            ASSERT_EQ(batch(r, c), out(0, c))
-                << "m=" << m << " k=" << k << " n=" << n << " row=" << r
-                << " col=" << c;
+            ASSERT_EQ(batch(r, c), out[c]) << "m=" << m << " k=" << k << " n=" << n
+                                           << " row=" << r << " col=" << c;
           }
         }
       }
@@ -99,26 +105,46 @@ TEST(ServingKernelTest, MatMulBiasIntoBatchRowsBitIdenticalToSingleRows) {
   }
 }
 
+TEST(ServingKernelTest, MatMulBiasIntoBatchRowsBitIdenticalToSingleRows) {
+  ExpectBatchRowsMatchSingleRows<float>(7);
+  ExpectBatchRowsMatchSingleRows<double>(8);
+}
+
 // --- 2. Network level: ForwardBatchRows == ForwardRow per row ---------------
 
-TEST(ServingKernelTest, MlpForwardBatchRowsBitIdenticalToForwardRow) {
-  Rng rng(11);
-  Mlp net_d({9, 16, 8, 2}, Activation::kTanh, Activation::kIdentity, &rng);
-  MlpT<float> net;
+template <typename T>
+void ExpectForwardBatchRowsMatchForwardRow(const std::vector<size_t>& dims,
+                                           uint64_t seed) {
+  Rng rng(seed);
+  Mlp net_d(dims, Activation::kTanh, Activation::kIdentity, &rng);
+  MlpT<T> net;
   net.CastFrom(net_d);
-  constexpr size_t kRows = 5;
-  std::vector<float> in(kRows * 9);
-  for (float& v : in) {
-    v = static_cast<float>(rng.Uniform(-2.0, 2.0));
+  const size_t in_dim = dims.front();
+  const size_t out_dim = dims.back();
+  for (const size_t rows : kTileRowCounts) {
+    std::vector<T> in(rows * in_dim);
+    for (T& v : in) {
+      v = static_cast<T>(rng.Uniform(-2.0, 2.0));
+    }
+    std::vector<T> batch_out(rows * out_dim);
+    net.ForwardBatchRows(in.data(), rows, batch_out.data());
+    std::vector<T> row_out(out_dim);
+    for (size_t r = 0; r < rows; ++r) {
+      net.ForwardRow(in.data() + r * in_dim, row_out.data());
+      for (size_t c = 0; c < out_dim; ++c) {
+        ASSERT_EQ(batch_out[r * out_dim + c], row_out[c])
+            << "rows=" << rows << " row " << r << " col " << c;
+      }
+    }
   }
-  std::vector<float> batch_out(kRows * 2);
-  net.ForwardBatchRows(in.data(), kRows, batch_out.data());
-  for (size_t r = 0; r < kRows; ++r) {
-    float row_out[2];
-    net.ForwardRow(in.data() + r * 9, row_out);
-    EXPECT_EQ(batch_out[r * 2 + 0], row_out[0]) << "row " << r;
-    EXPECT_EQ(batch_out[r * 2 + 1], row_out[1]) << "row " << r;
-  }
+}
+
+TEST(ServingKernelTest, MlpForwardBatchRowsBitIdenticalToForwardRow) {
+  // An odd-width net (column tails everywhere) and the Figure-3 trunk shape.
+  ExpectForwardBatchRowsMatchForwardRow<float>({9, 17, 8, 2}, 11);
+  ExpectForwardBatchRowsMatchForwardRow<float>({46, 64, 32, 1}, 12);
+  ExpectForwardBatchRowsMatchForwardRow<double>({9, 17, 8, 2}, 13);
+  ExpectForwardBatchRowsMatchForwardRow<double>({46, 64, 32, 1}, 14);
 }
 
 // --- 3. Policy level: ActionMeansF32 == sequential ActionMeanF32 ------------
@@ -152,6 +178,46 @@ TEST(ServingPolicyTest, ActionMeansF32BitIdenticalToSequentialSingleRows) {
   for (size_t r = 0; r < kRows; ++r) {
     const float seq = seq_policy->ActionMeanF32(obs.data() + r * obs_dim);
     EXPECT_EQ(batch_means[r], seq) << "row " << r;
+  }
+}
+
+TEST(ServingPolicyTest, UnsortedPrefixBatchBitIdenticalToSingleRows) {
+  // Prefixes alternating row by row: every layer-0 run of the batch walk has
+  // length 1, so each row refreshes the PN cache and seeds from a different
+  // l0_partial. The batch must still equal n = 1 calls on a fresh replica,
+  // with the same number of PN recomputes.
+  MoccConfig config;
+  Rng rng(17);
+  PreferenceActorCritic model(config, &rng);
+  std::unique_ptr<InferencePolicy> batch_policy = model.MakeFloat32Policy();
+  std::unique_ptr<InferencePolicy> seq_policy = model.MakeFloat32Policy();
+  auto* batch_pref = dynamic_cast<PreferenceFloat32Policy*>(batch_policy.get());
+  auto* seq_pref = dynamic_cast<PreferenceFloat32Policy*>(seq_policy.get());
+  ASSERT_NE(batch_pref, nullptr);
+  ASSERT_NE(seq_pref, nullptr);
+  const size_t obs_dim = model.obs_dim();
+  for (const size_t rows : kTileRowCounts) {
+    std::vector<float> obs(rows * obs_dim);
+    for (size_t r = 0; r < rows; ++r) {
+      // Mostly alternating, with an occasional repeat so short runs appear too.
+      const WeightVector w = FlowWeight(static_cast<int>(r % 7 == 6 ? r - 1 : r));
+      float* row = obs.data() + r * obs_dim;
+      row[0] = static_cast<float>(w.thr);
+      row[1] = static_cast<float>(w.lat);
+      row[2] = static_cast<float>(w.loss);
+      for (size_t k = 3; k < obs_dim; ++k) {
+        row[k] = static_cast<float>(rng.Uniform(0.0, 2.0));
+      }
+    }
+    std::vector<float> batch_means(rows);
+    batch_policy->ActionMeansF32(obs.data(), rows, batch_means.data());
+    for (size_t r = 0; r < rows; ++r) {
+      float seq = 0.0f;
+      seq_policy->ActionMeansF32(obs.data() + r * obs_dim, 1, &seq);
+      ASSERT_EQ(batch_means[r], seq) << "rows=" << rows << " row " << r;
+    }
+    EXPECT_EQ(batch_pref->pn_recompute_count(), seq_pref->pn_recompute_count())
+        << "rows=" << rows;
   }
 }
 

@@ -1,17 +1,20 @@
 // The `simd` suite: the scalar<->vector bit-identity contract of the runtime
 // dispatch layer (src/nn/simd/dispatch.h).
 //
-// Every kernel table the host can run (scalar always; SSSE3/AVX2/NEON when
-// CPUID + the build say so) is compared against the scalar reference with
+// Every kernel table the host can run (scalar always; SSSE3/AVX2/AVX-512/NEON
+// when CPUID + the build say so) is compared against the scalar reference with
 // EXPECT_EQ — not tolerances — over odd shapes, remainder tails, and the int8
 // quantized pipeline. This is the property that makes runtime dispatch safe:
 // which CPU ran an inference can never change its result, only its speed.
 // The end-to-end form of the same contract is golden_inference_test, which
 // ctest registers a second time under MOCC_FORCE_SCALAR=1. The training
 // kernel (the backward pass's dL/dX product) is held to the same EXPECT_EQ.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,7 +34,7 @@ using simd::Tier;
 // comparisons below read "tiers[0] vs tiers[i]".
 std::vector<Tier> SupportedTiers() {
   std::vector<Tier> tiers;
-  for (Tier t : {Tier::kScalar, Tier::kSsse3, Tier::kAvx2, Tier::kNeon}) {
+  for (Tier t : {Tier::kScalar, Tier::kSsse3, Tier::kAvx2, Tier::kNeon, Tier::kAvx512}) {
     if (simd::KernelsForTier(t) != nullptr) {
       tiers.push_back(t);
     }
@@ -65,7 +68,8 @@ TEST(DispatchTest, ScalarTierAlwaysSupportedAndComplete) {
     ASSERT_NE(k, nullptr) << simd::TierName(t);
     EXPECT_NE(k->row_matvec_bias_f32, nullptr) << simd::TierName(t);
     EXPECT_NE(k->row_matvec_bias_f64, nullptr) << simd::TierName(t);
-    EXPECT_NE(k->row_matvec_seeded_f32, nullptr) << simd::TierName(t);
+    EXPECT_NE(k->rows_matvec_f32, nullptr) << simd::TierName(t);
+    EXPECT_NE(k->rows_matvec_f64, nullptr) << simd::TierName(t);
     EXPECT_NE(k->tanh_array_f32, nullptr) << simd::TierName(t);
     EXPECT_NE(k->tanh_array_f64, nullptr) << simd::TierName(t);
     EXPECT_NE(k->int8_quantize_row, nullptr) << simd::TierName(t);
@@ -87,6 +91,54 @@ TEST(DispatchTest, ActiveTierIsSupportedAndNamed) {
   if (simd::ForcedScalar()) {
     EXPECT_EQ(active, Tier::kScalar);
   }
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+bool HostHasAvx512() {
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+         __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
+         __builtin_cpu_supports("avx512vl");
+}
+#else
+bool HostHasAvx512() { return false; }
+#endif
+
+TEST(DispatchTest, Avx512TierComparedOnCapableHosts) {
+  // Every BitIdentityTest below compares the tiers SupportedTiers() lists;
+  // this case makes a missing AVX-512 comparison visible in the test log
+  // instead of silently passing.
+  if (!HostHasAvx512()) {
+    GTEST_SKIP() << "host CPU lacks avx512f/avx512dq/avx512vl (or AVX2+FMA): the "
+                    "AVX-512 tier is not compared against the scalar reference here";
+  }
+  const auto tiers = SupportedTiers();
+  EXPECT_NE(std::find(tiers.begin(), tiers.end(), Tier::kAvx512), tiers.end());
+  EXPECT_STREQ(simd::TierName(Tier::kAvx512), "avx512");
+  if (!simd::ForcedScalar()) {
+    EXPECT_EQ(simd::ActiveTier(), Tier::kAvx512);
+  }
+}
+
+TEST(DispatchTest, Avx512TableIsComposedOverAvx2) {
+  // The AVX-512 tier implements the multi-row mat-vec and the tanh sweeps;
+  // every other entry must be the AVX2 kernel, not the scalar fallback.
+  const Kernels* avx512 = simd::KernelsForTier(Tier::kAvx512);
+  if (avx512 == nullptr) {
+    GTEST_SKIP() << "AVX-512 tier not available on this host";
+  }
+  const Kernels* avx2 = simd::KernelsForTier(Tier::kAvx2);
+  ASSERT_NE(avx2, nullptr) << "AVX-512 tier approved without the AVX2 tier";
+  EXPECT_EQ(avx512->row_matvec_bias_f32, avx2->row_matvec_bias_f32);
+  EXPECT_EQ(avx512->row_matvec_bias_f64, avx2->row_matvec_bias_f64);
+  EXPECT_EQ(avx512->int8_quantize_row, avx2->int8_quantize_row);
+  EXPECT_EQ(avx512->int8_row_gemv, avx2->int8_row_gemv);
+  EXPECT_EQ(avx512->int8_post_tanh, avx2->int8_post_tanh);
+  EXPECT_EQ(avx512->matmul_unfused_f64, avx2->matmul_unfused_f64);
+  // Its own entries really are its own.
+  EXPECT_NE(avx512->rows_matvec_f32, avx2->rows_matvec_f32);
+  EXPECT_NE(avx512->rows_matvec_f64, avx2->rows_matvec_f64);
+  EXPECT_NE(avx512->tanh_array_f32, avx2->tanh_array_f32);
+  EXPECT_NE(avx512->tanh_array_f64, avx2->tanh_array_f64);
 }
 
 // Shapes exercising every vector block size and remainder tail in the f32
@@ -146,7 +198,7 @@ TEST(BitIdentityTest, RowMatVecBiasF64MatchesScalarOnEveryTier) {
 }
 
 TEST(BitIdentityTest, SeededSplitEqualsFullOnEveryTier) {
-  // The resumable kernel's defining property: a [0,s) pass with null seed/bias
+  // The multi-row kernel's seed contract: a [0,s) pass with null seed/bias
   // followed by a seeded [s,in) pass is bit-identical to one full-range call —
   // on every tier, and identical across tiers. This is what makes the
   // cached-prefix policy trick (inference_policy.cc) a pure optimization.
@@ -158,21 +210,21 @@ TEST(BitIdentityTest, SeededSplitEqualsFullOnEveryTier) {
     const auto b = RandomRowF32(&rng, s.out, -1.0, 1.0);
     std::vector<float> y_full_ref(s.out);
     simd::KernelsForTier(Tier::kScalar)
-        ->row_matvec_seeded_f32(x.data(), w.data(), nullptr, b.data(),
-                                y_full_ref.data(), s.in, s.out);
+        ->rows_matvec_f32(x.data(), s.in, 1, w.data(), nullptr, b.data(),
+                          y_full_ref.data(), s.out, s.in, s.out);
     for (Tier t : tiers) {
       const Kernels* k = simd::KernelsForTier(t);
       std::vector<float> y_full(s.out);
-      k->row_matvec_seeded_f32(x.data(), w.data(), nullptr, b.data(), y_full.data(),
-                               s.in, s.out);
+      k->rows_matvec_f32(x.data(), s.in, 1, w.data(), nullptr, b.data(), y_full.data(),
+                         s.out, s.in, s.out);
       for (size_t split : {size_t{0}, size_t{1}, s.in / 2, s.in}) {
         std::vector<float> seed(s.out, 0.0f);
         std::vector<float> y_split(s.out);
-        k->row_matvec_seeded_f32(x.data(), w.data(), nullptr, nullptr, seed.data(),
-                                 split, s.out);
-        k->row_matvec_seeded_f32(x.data() + split, w.data() + split * s.out,
-                                 seed.data(), b.data(), y_split.data(),
-                                 s.in - split, s.out);
+        k->rows_matvec_f32(x.data(), s.in, 1, w.data(), nullptr, nullptr, seed.data(),
+                           s.out, split, s.out);
+        k->rows_matvec_f32(x.data() + split, s.in, 1, w.data() + split * s.out,
+                           seed.data(), b.data(), y_split.data(), s.out, s.in - split,
+                           s.out);
         for (size_t j = 0; j < s.out; ++j) {
           EXPECT_EQ(y_split[j], y_full[j])
               << simd::TierName(t) << " " << s.in << "x" << s.out
@@ -184,38 +236,170 @@ TEST(BitIdentityTest, SeededSplitEqualsFullOnEveryTier) {
   }
 }
 
+// The multi-row kernel against the scalar table at every tile remainder: row
+// counts 1..9 and 33 (every 1/2/4-row tile mix), strided input rows
+// (x_stride > in, as the policy reads the history slice out of observation
+// rows), strided output rows, seed and bias each present or absent, and the
+// deployed shapes plus odd column tails (every 64/32/16/8-wide block and
+// masked or scalar tail). For out > 1 with no seed, the same values must
+// come out of the single-row kernel too: that is what lets batched dense
+// layers run here while single-row forwards keep the row kernel.
+template <typename T>
+void ExpectRowsMatVecMatchesScalar(
+    void (*Kernels::*entry)(const T*, size_t, size_t, const T*, const T*, const T*, T*,
+                            size_t, size_t, size_t),
+    void (*Kernels::*row_entry)(const T*, const T*, const T*, T*, size_t, size_t),
+    uint64_t seed_value) {
+  const Shape shapes[] = {{30, 64}, {46, 64}, {64, 32}, {16, 16},
+                          {3, 16},  {7, 5},   {13, 33}, {70, 17}};
+  const size_t row_counts[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 33};
+  const Kernels* scalar = simd::KernelsForTier(Tier::kScalar);
+  Rng rng(seed_value);
+  auto random = [&rng](size_t n, double lo, double hi) {
+    std::vector<T> v(n);
+    for (auto& e : v) {
+      e = static_cast<T>(rng.Uniform(lo, hi));
+    }
+    return v;
+  };
+  for (const Shape& s : shapes) {
+    const size_t x_stride = s.in + 3;
+    const size_t y_stride = s.out + 2;
+    const auto w = random(s.in * s.out, -1.5, 1.5);
+    const auto seed = random(s.out, -2.0, 2.0);
+    const auto b = random(s.out, -1.0, 1.0);
+    for (size_t n : row_counts) {
+      const auto x = random(n * x_stride, -3.0, 3.0);
+      for (const T* sd : {static_cast<const T*>(nullptr), seed.data()}) {
+        for (const T* bias : {static_cast<const T*>(nullptr), b.data()}) {
+          std::vector<T> y_ref(n * y_stride, T(-777));
+          (scalar->*entry)(x.data(), x_stride, n, w.data(), sd, bias, y_ref.data(),
+                           y_stride, s.in, s.out);
+          for (Tier t : SupportedTiers()) {
+            const Kernels* k = simd::KernelsForTier(t);
+            std::vector<T> y(n * y_stride, T(-777));
+            (k->*entry)(x.data(), x_stride, n, w.data(), sd, bias, y.data(), y_stride,
+                        s.in, s.out);
+            for (size_t e = 0; e < y.size(); ++e) {
+              // Padding between output rows stays untouched.
+              EXPECT_EQ(y[e], y_ref[e])
+                  << simd::TierName(t) << " " << s.in << "x" << s.out << " n=" << n
+                  << " seed=" << (sd != nullptr) << " bias=" << (bias != nullptr)
+                  << " row=" << e / y_stride << " j=" << e % y_stride;
+            }
+            if (sd == nullptr && bias != nullptr) {
+              std::vector<T> y_row(s.out);
+              for (size_t r = 0; r < n; ++r) {
+                (k->*row_entry)(x.data() + r * x_stride, w.data(), bias, y_row.data(),
+                                s.in, s.out);
+                for (size_t j = 0; j < s.out; ++j) {
+                  EXPECT_EQ(y_row[j], y[r * y_stride + j])
+                      << simd::TierName(t) << " row kernel " << s.in << "x" << s.out
+                      << " r=" << r << " j=" << j;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BitIdentityTest, RowsMatVecMatchesScalarOnEveryTier) {
+  ExpectRowsMatVecMatchesScalar<float>(&Kernels::rows_matvec_f32,
+                                       &Kernels::row_matvec_bias_f32, 104);
+  ExpectRowsMatVecMatchesScalar<double>(&Kernels::rows_matvec_f64,
+                                        &Kernels::row_matvec_bias_f64, 105);
+}
+
+// Bit patterns, so NaN results compare equal to themselves (payload included).
+uint32_t Bits(float v) {
+  uint32_t u;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
+}
+
+uint64_t Bits(double v) {
+  uint64_t u;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
+}
+
+// Each edge value with its neighbours one ulp either side, both signs.
+template <typename T>
+void AppendEdges(std::vector<T>* grid, std::initializer_list<T> edges) {
+  for (T e : edges) {
+    for (T v : {std::nextafter(e, T(0)), e, std::nextafter(e, T(1e30))}) {
+      grid->push_back(v);
+      grid->push_back(-v);
+    }
+  }
+}
+
 TEST(BitIdentityTest, TanhArraysMatchScalarOnEveryTier) {
   const auto tiers = SupportedTiers();
-  // Dense grid across the interesting range plus the saturation plateaus and
-  // odd lengths that leave vector remainder tails.
+  // Dense grid across the interesting range, then the special values: NaN,
+  // +-inf, +-0, subnormals, the saturation clamps (10 for float, 20 for
+  // double) and the small-x crossovers (0.04 / 1e-4), each with its ulp
+  // neighbours. Odd lengths leave vector remainder tails.
   std::vector<float> grid_f;
   std::vector<double> grid_d;
   for (double v = -12.0; v <= 12.0; v += 0.037) {
     grid_f.push_back(static_cast<float>(v));
     grid_d.push_back(v);
   }
-  grid_f.insert(grid_f.end(), {0.0f, -0.0f, 1e-30f, -1e-30f, 40.0f, -40.0f});
-  grid_d.insert(grid_d.end(), {0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0});
-  for (size_t n : {size_t{1}, size_t{7}, size_t{16}, size_t{17}, grid_f.size()}) {
+  grid_f.insert(grid_f.end(), {0.0f, -0.0f, 1e-30f, -1e-30f, 40.0f, -40.0f,
+                               std::numeric_limits<float>::quiet_NaN(),
+                               -std::numeric_limits<float>::quiet_NaN(),
+                               std::numeric_limits<float>::infinity(),
+                               -std::numeric_limits<float>::infinity(),
+                               std::numeric_limits<float>::denorm_min(),
+                               -std::numeric_limits<float>::denorm_min(), 1e-40f,
+                               -1e-40f});
+  grid_d.insert(grid_d.end(), {0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0,
+                               std::numeric_limits<double>::quiet_NaN(),
+                               -std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::denorm_min(),
+                               -std::numeric_limits<double>::denorm_min(), 1e-310,
+                               -1e-310});
+  AppendEdges(&grid_f, {10.0f, 20.0f, 0.04f, 1e-4f});
+  AppendEdges(&grid_d, {10.0, 20.0, 0.04, 1e-4});
+  const size_t lengths[] = {1, 7, 8, 9, 15, 16, 17, 31, 33, grid_f.size()};
+  for (size_t n : lengths) {
     for (Tier t : tiers) {
-      std::vector<float> a_ref(grid_f.begin(), grid_f.begin() + n);
-      std::vector<float> a(grid_f.begin(), grid_f.begin() + n);
+      // The special values sit at the end of the grid; a window ending there
+      // puts them in every lane position and tail as n varies.
+      std::vector<float> a_ref(grid_f.end() - n, grid_f.end());
+      std::vector<float> a(grid_f.end() - n, grid_f.end());
       simd::KernelsForTier(Tier::kScalar)->tanh_array_f32(a_ref.data(), n);
       simd::KernelsForTier(t)->tanh_array_f32(a.data(), n);
       for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(a[i], a_ref[i]) << simd::TierName(t) << " f32 n=" << n
-                                  << " x=" << grid_f[i];
+        EXPECT_EQ(Bits(a[i]), Bits(a_ref[i]))
+            << simd::TierName(t) << " f32 n=" << n << " x=" << grid_f[grid_f.size() - n + i];
       }
-      std::vector<double> d_ref(grid_d.begin(), grid_d.begin() + n);
-      std::vector<double> d(grid_d.begin(), grid_d.begin() + n);
-      simd::KernelsForTier(Tier::kScalar)->tanh_array_f64(d_ref.data(), n);
-      simd::KernelsForTier(t)->tanh_array_f64(d.data(), n);
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(d[i], d_ref[i]) << simd::TierName(t) << " f64 n=" << n
-                                  << " x=" << grid_d[i];
+      const size_t nd = std::min(n, grid_d.size());
+      std::vector<double> d_ref(grid_d.end() - nd, grid_d.end());
+      std::vector<double> d(grid_d.end() - nd, grid_d.end());
+      simd::KernelsForTier(Tier::kScalar)->tanh_array_f64(d_ref.data(), nd);
+      simd::KernelsForTier(t)->tanh_array_f64(d.data(), nd);
+      for (size_t i = 0; i < nd; ++i) {
+        EXPECT_EQ(Bits(d[i]), Bits(d_ref[i]))
+            << simd::TierName(t) << " f64 n=" << nd << " x=" << grid_d[grid_d.size() - nd + i];
       }
     }
   }
+  // The reference's own special-value semantics, which every tier inherits.
+  float f[] = {std::numeric_limits<float>::quiet_NaN(),
+               std::numeric_limits<float>::infinity(),
+               -std::numeric_limits<float>::infinity(), -0.0f};
+  simd::KernelsForTier(Tier::kScalar)->tanh_array_f32(f, 4);
+  EXPECT_TRUE(std::isnan(f[0]));
+  EXPECT_EQ(f[1], 1.0f);
+  EXPECT_EQ(f[2], -1.0f);
+  EXPECT_TRUE(std::signbit(f[3]) && f[3] == 0.0f);
 }
 
 // ---------------------------------------------------------------------------
