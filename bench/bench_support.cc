@@ -194,6 +194,9 @@ double MeasureOpsPerSec(const std::function<void()>& fn, double min_seconds) {
 
 namespace {
 
+// The length of one side's run in a MeasurePairedOpsPerSec round.
+constexpr double kSliceSeconds = 1e-3;
+
 double TimeCalls(const std::function<void()>& fn, int64_t calls) {
   using Clock = std::chrono::steady_clock;
   const Clock::time_point start = Clock::now();
@@ -203,27 +206,26 @@ double TimeCalls(const std::function<void()>& fn, int64_t calls) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// How many calls of `fn` take about `slice_s`, from an untimed warm-up call
-// and a calibration run of ten slices.
-int64_t CallsPerSlice(const std::function<void()>& fn, double slice_s) {
+// How many calls of `fn` take about kSliceSeconds, from an untimed warm-up
+// call and a calibration run of ten slices.
+int64_t CallsPerSlice(const std::function<void()>& fn) {
   fn();
   int64_t calls = 1;
   double elapsed = TimeCalls(fn, calls);
-  while (elapsed < 10.0 * slice_s) {
+  while (elapsed < 10.0 * kSliceSeconds) {
     calls *= 2;
     elapsed = TimeCalls(fn, calls);
   }
   return std::max<int64_t>(
-      1, static_cast<int64_t>(static_cast<double>(calls) * slice_s / elapsed));
+      1, static_cast<int64_t>(static_cast<double>(calls) * kSliceSeconds / elapsed));
 }
 
 }  // namespace
 
 PairedOpsPerSec MeasurePairedOpsPerSec(const std::function<void()>& a,
-                                       const std::function<void()>& b, int slices,
-                                       double slice_s) {
-  const int64_t calls_a = CallsPerSlice(a, slice_s);
-  const int64_t calls_b = CallsPerSlice(b, slice_s);
+                                       const std::function<void()>& b, int slices) {
+  const int64_t calls_a = CallsPerSlice(a);
+  const int64_t calls_b = CallsPerSlice(b);
   double seconds_a = 0.0;
   double seconds_b = 0.0;
   for (int s = 0; s < slices; ++s) {

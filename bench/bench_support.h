@@ -103,9 +103,9 @@ class BenchJson {
 double MeasureOpsPerSec(const std::function<void()>& fn, double min_seconds = 0.2);
 
 // Calls/second of two callables timed against each other for a ratio check:
-// `slices` rounds, each timing a run of `a` and a run of `b` of about
-// `slice_s` seconds apiece, with the side that goes first alternating from
-// round to round; each side's calls and seconds are summed over all rounds.
+// `slices` rounds, each timing a run of `a` and a run of `b` of about 1 ms
+// apiece, with the side that goes first alternating from round to round;
+// each side's calls and seconds are summed over all rounds.
 // Both sides see the same host drift (clock frequency, neighbours' load),
 // and neither always pays for going first, so the ratio of the two rates
 // resolves a few percent where two windows timed one after the other do not.
@@ -114,8 +114,7 @@ struct PairedOpsPerSec {
   double b = 0.0;
 };
 PairedOpsPerSec MeasurePairedOpsPerSec(const std::function<void()>& a,
-                                       const std::function<void()>& b,
-                                       int slices = 200, double slice_s = 1e-3);
+                                       const std::function<void()>& b, int slices);
 
 }  // namespace mocc
 

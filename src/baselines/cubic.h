@@ -15,7 +15,7 @@ struct CubicConfig {
   double min_cwnd = 2.0;
 };
 
-class CubicCc : public CongestionControl {
+class CubicCc final : public CongestionControl {
  public:
   explicit CubicCc(const CubicConfig& config = {});
 

@@ -133,22 +133,21 @@ std::string BinaryReader::ReadString() {
   return s;
 }
 
-uint64_t BinaryReader::ReadDoubleVectorSize() {
+std::vector<double> BinaryReader::ReadDoubleVector() {
   const uint64_t size = ReadU64();
   if (!ok_ || size > (1ULL << 32) || !FitsRemaining(size * sizeof(double))) {
     ok_ = false;
-    return 0;
+    return {};
   }
-  return size;
-}
-
-void BinaryReader::ReadDoubles(double* dst, size_t n) {
-  if (n > 0) {
-    in_.read(reinterpret_cast<char*>(dst), static_cast<std::streamsize>(n * sizeof(double)));
+  std::vector<double> v(size, 0.0);
+  if (size > 0) {
+    in_.read(reinterpret_cast<char*>(v.data()),
+             static_cast<std::streamsize>(size * sizeof(double)));
     if (!in_.good()) {
       ok_ = false;
     }
   }
+  return v;
 }
 
 bool WriteFile(const std::string& path, const std::string& contents) {

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <istream>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -48,27 +47,12 @@ class BinaryReader {
   int64_t ReadI64();
   double ReadDouble();
   std::string ReadString();
-  std::vector<double> ReadDoubleVector() {
-    return ReadDoubleVectorAs<std::allocator<double>>();
-  }
-  // ReadDoubleVector into a vector with another allocator (the same bytes and
-  // checks), so callers with aligned storage can take the result by move.
-  template <typename Alloc>
-  std::vector<double, Alloc> ReadDoubleVectorAs() {
-    std::vector<double, Alloc> v(ReadDoubleVectorSize(), 0.0);
-    ReadDoubles(v.data(), v.size());
-    return v;
-  }
+  std::vector<double> ReadDoubleVector();
 
   // True iff the header matched and every read so far succeeded.
   bool ok() const { return ok_ && in_.good(); }
 
  private:
-  // Reads a double vector's length prefix; 0 (and !ok()) when it exceeds
-  // the bytes remaining.
-  uint64_t ReadDoubleVectorSize();
-  void ReadDoubles(double* dst, size_t n);
-
   // False iff the stream is seekable and holds fewer than `bytes` unread bytes.
   bool FitsRemaining(uint64_t bytes);
 

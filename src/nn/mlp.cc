@@ -138,20 +138,16 @@ bool DenseLayerT<T>::Deserialize(BinaryReader* r) {
       act != static_cast<uint32_t>(activation_)) {
     return false;
   }
-  auto w = r->ReadDoubleVectorAs<AlignedAllocator<double>>();
-  auto b = r->ReadDoubleVectorAs<AlignedAllocator<double>>();
+  const std::vector<double> w = r->ReadDoubleVector();
+  const std::vector<double> b = r->ReadDoubleVector();
   if (!r->ok() || w.size() != weights_.size() || b.size() != bias_.size()) {
     return false;
   }
-  if constexpr (std::is_same_v<T, double>) {
-    weights_.storage() = std::move(w);
-    bias_.storage() = std::move(b);
-  } else {
-    std::transform(w.begin(), w.end(), weights_.storage().begin(),
-                   [](double v) { return static_cast<T>(v); });
-    std::transform(b.begin(), b.end(), bias_.storage().begin(),
-                   [](double v) { return static_cast<T>(v); });
-  }
+  // Copied (narrowed for float) into the layer's aligned storage.
+  std::transform(w.begin(), w.end(), weights_.storage().begin(),
+                 [](double v) { return static_cast<T>(v); });
+  std::transform(b.begin(), b.end(), bias_.storage().begin(),
+                 [](double v) { return static_cast<T>(v); });
   return true;
 }
 

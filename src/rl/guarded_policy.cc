@@ -4,7 +4,10 @@
 
 namespace mocc {
 
-GuardedPolicy::GuardedPolicy(const Options& options) : options_(options) {}
+GuardedPolicy::GuardedPolicy(const Options& options)
+    : options_(options),
+      min_proposal_bps_(options.min_rate_bps / options.max_step_rate_factor),
+      max_proposal_bps_(options.max_rate_bps * options.max_step_rate_factor) {}
 
 bool GuardedPolicy::BeginInterval() {
   switch (state_) {
@@ -47,8 +50,7 @@ bool GuardedPolicy::ValidateDecision(double action, double proposed_rate_bps,
     Trip();
     return false;
   }
-  if (proposed_rate_bps > options_.max_rate_bps * f ||
-      proposed_rate_bps < options_.min_rate_bps / f) {
+  if (proposed_rate_bps > max_proposal_bps_ || proposed_rate_bps < min_proposal_bps_) {
     Trip();
     return false;
   }

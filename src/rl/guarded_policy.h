@@ -70,6 +70,10 @@ class GuardedPolicy {
   void Trip();
 
   Options options_;
+  // The absolute proposal bounds, the rate bounds widened by
+  // max_step_rate_factor (computed once, not per decision).
+  double min_proposal_bps_;
+  double max_proposal_bps_;
   State state_ = State::kClosed;
   int open_intervals_elapsed_ = 0;
   int valid_probes_ = 0;

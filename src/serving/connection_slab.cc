@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/baselines/cubic.h"
-
 namespace mocc {
 
 ConnectionSlab::ConnectionSlab(size_t weight_dim, size_t history_len, bool include_ecn,

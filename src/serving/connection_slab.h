@@ -22,8 +22,8 @@
 #include <memory>
 #include <vector>
 
+#include "src/baselines/cubic.h"
 #include "src/envs/mi_history.h"
-#include "src/netsim/cc_interface.h"
 #include "src/rl/guarded_policy.h"
 
 namespace mocc {
@@ -94,7 +94,8 @@ class ConnectionSlab {
   std::vector<uint32_t> mi_ticks;      // interval length in service ticks
   // Guard state (sized only when guarded).
   std::vector<GuardedPolicy> guards;
-  std::vector<std::unique_ptr<CongestionControl>> fallbacks;
+  // CubicCc is final, so the per-report and per-ACK feeds are direct calls.
+  std::vector<std::unique_ptr<CubicCc>> fallbacks;
 
  private:
   void GrowTo(size_t capacity);
