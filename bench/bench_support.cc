@@ -1,5 +1,7 @@
 #include "bench/bench_support.h"
 
+#include <time.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -197,13 +199,20 @@ namespace {
 // The length of one side's run in a MeasurePairedOpsPerSec round.
 constexpr double kSliceSeconds = 1e-3;
 
+double ThreadCpuSeconds() {
+  timespec now{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) + 1e-9 * static_cast<double>(now.tv_nsec);
+}
+
+// CPU time this thread spends running `calls` calls of `fn`: a slice that is
+// preempted by another process does not charge the wait to its side.
 double TimeCalls(const std::function<void()>& fn, int64_t calls) {
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point start = Clock::now();
+  const double start = ThreadCpuSeconds();
   for (int64_t i = 0; i < calls; ++i) {
     fn();
   }
-  return std::chrono::duration<double>(Clock::now() - start).count();
+  return ThreadCpuSeconds() - start;
 }
 
 // How many calls of `fn` take about kSliceSeconds, from an untimed warm-up

@@ -105,10 +105,13 @@ double MeasureOpsPerSec(const std::function<void()>& fn, double min_seconds = 0.
 // Calls/second of two callables timed against each other for a ratio check:
 // `slices` rounds, each timing a run of `a` and a run of `b` of about 1 ms
 // apiece, with the side that goes first alternating from round to round;
-// each side's calls and seconds are summed over all rounds.
-// Both sides see the same host drift (clock frequency, neighbours' load),
-// and neither always pays for going first, so the ratio of the two rates
-// resolves a few percent where two windows timed one after the other do not.
+// each side's calls and seconds are summed over all rounds. Slices are timed
+// on the calling thread's CPU clock (CLOCK_THREAD_CPUTIME_ID), so a slice
+// preempted by a neighbour does not charge the wait to one side.
+// Both sides see the same host drift (clock frequency, cache pressure from
+// neighbours), and neither always pays for going first, so the ratio of the
+// two rates resolves a few percent where two windows timed one after the
+// other do not. The rates are per CPU-second, not per wall-second.
 struct PairedOpsPerSec {
   double a = 0.0;
   double b = 0.0;

@@ -7,6 +7,7 @@
 #include "src/common/stats.h"
 #include "src/core/reward.h"
 #include "src/envs/cc_env.h"
+#include "src/envs/scenario.h"
 
 namespace mocc {
 namespace {
@@ -103,8 +104,7 @@ void MultiFlowCcEnv::ApplyDuePreferenceSwitches() {
 }
 
 size_t MultiFlowCcEnv::ObservationDim() const {
-  return (config_.include_weight_in_obs ? 3 : 0) +
-         (config_.include_ecn_in_obs ? 4 : 3) * config_.history_len;
+  return 3 + (config_.include_ecn_in_obs ? 4 : 3) * config_.history_len;
 }
 
 double MultiFlowCcEnv::current_bandwidth_bps() const {
@@ -122,11 +122,9 @@ int MultiFlowCcEnv::ActiveFlowCount() const {
       ++active;
     }
   }
-  for (const CompetitorFlow& competitor : config_.competitors) {
-    if (competitor.start_time_s <= env_time_s_ + kBoundarySlopS &&
-        env_time_s_ < competitor.stop_time_s) {
-      ++active;
-    }
+  if (config_.competitor_start_s <= env_time_s_ + kBoundarySlopS &&
+      env_time_s_ < config_.competitor_stop_s) {
+    active += static_cast<int>(config_.competitor_schemes.size());
   }
   return std::max(1, active);
 }
@@ -139,80 +137,83 @@ const MonitorReport& MultiFlowCcEnv::agent_last_report(int agent) const {
   return agent_ccs_[static_cast<size_t>(agent)]->last_report();
 }
 
+EpisodeNetwork BuildEpisodeNetwork(const EpisodeSpec& spec, const LinkParams& link,
+                                   Rng* rng) {
+  EpisodeNetwork episode;
+  episode.topology = BuildTopology(spec.topology, link);
+  LinkSpec& bottleneck = episode.topology.links[0];
+  if (!spec.fault.empty()) {
+    bottleneck.fault = spec.fault;
+    if (spec.fault.randomize_phase) {
+      bottleneck.fault.phase_s = rng->Uniform(0.0, spec.fault.MaxPeriodS());
+    }
+  }
+  if (!spec.wifi_jitter.empty()) {
+    bottleneck.wifi_jitter = spec.wifi_jitter;
+    if (spec.wifi_jitter.randomize_phase) {
+      bottleneck.wifi_jitter.phase_s =
+          rng->Uniform(0.0, spec.wifi_jitter.MaxPeriodS());
+    }
+  }
+  if (!spec.aqm.empty()) {
+    bottleneck.aqm = spec.aqm;
+  }
+
+  const bool heterogeneous = spec.topology.Heterogeneous();
+  for (int i = 0; i < spec.num_agents; ++i) {
+    FlowPathSpec paths = AgentPath(spec.topology, i);
+    FlowOptions options;
+    options.path = std::move(paths.path);
+    options.ack_path = std::move(paths.ack_path);
+    if (!spec.agent_extra_delay_s.empty()) {
+      options.extra_one_way_delay_s =
+          spec.agent_extra_delay_s[static_cast<size_t>(i) %
+                                   spec.agent_extra_delay_s.size()];
+    }
+    options.ecn_capable = spec.aqm.ecn;
+    const double path_rtt_s =
+        heterogeneous ? PathPropRttS(episode.topology, options.path)
+                      : static_cast<double>(options.path.size()) * link.BaseRttS();
+    episode.agent_base_rtt_s.push_back(path_rtt_s +
+                                       2.0 * options.extra_one_way_delay_s);
+    episode.agents.push_back(std::move(options));
+  }
+  for (size_t i = 0; i < spec.competitor_schemes.size(); ++i) {
+    FlowPathSpec paths = CompetitorPath(spec.topology, static_cast<int>(i));
+    FlowOptions options;
+    options.start_time_s = spec.competitor_start_s;
+    options.stop_time_s = spec.competitor_stop_s;
+    options.path = std::move(paths.path);
+    options.ack_path = std::move(paths.ack_path);
+    episode.competitors.push_back(std::move(options));
+  }
+  return episode;
+}
+
 std::vector<std::vector<double>> MultiFlowCcEnv::Reset() {
   // Episode weights first: the plan's fixed/sampled assignment (or the external
   // base) must be in place before the warm-up observations are built below. Plan
   // sampling draws from rng_ ahead of the link sample, so the weight draws are a
   // fixed-length prefix of the episode stream.
   ApplyObjectivePlanForEpisode();
-  link_ = config_.fixed_link.has_value() ? *config_.fixed_link
-                                         : config_.link_range.Sample(&rng_);
-  // Same trace precedence as CcEnv: generator > fixed trace > constant bandwidth
-  // (one shared ladder — ResolveEpisodeTrace — so the two envs cannot diverge).
+  link_ = config_.SampleLink(&rng_);
+  // Same trace precedence as CcEnv: generator > constant bandwidth (one shared
+  // ladder — ResolveEpisodeTrace — so the two envs cannot diverge).
   BandwidthTrace trace =
       ResolveEpisodeTrace(config_.trace_generator, config_.cache_trace_per_env,
-                          &cached_trace_valid_, &cached_trace_, config_.trace, link_,
+                          &cached_trace_valid_, &cached_trace_, BandwidthTrace(), link_,
                           &rng_);
-
-  NetworkTopology topology = BuildTopology(config_.topology, link_);
-  if (!config_.fault.empty()) {
-    FaultSpec fault = config_.fault;
-    if (fault.randomize_phase) {
-      fault.phase_s = rng_.Uniform(0.0, fault.MaxPeriodS());
-    }
-    topology.links[0].fault = fault;
-  }
-  if (!config_.wifi_jitter.empty()) {
-    WifiJitterSpec jitter = config_.wifi_jitter;
-    if (jitter.randomize_phase) {
-      jitter.phase_s = rng_.Uniform(0.0, jitter.MaxPeriodS());
-    }
-    topology.links[0].wifi_jitter = jitter;
-  }
-  if (!config_.aqm.empty()) {
-    topology.links[0].aqm = config_.aqm;
-  }
-  net_ = std::make_unique<PacketNetwork>(topology, rng_.NextU64());
+  EpisodeNetwork episode = BuildEpisodeNetwork(config_, link_, &rng_);
+  net_ = std::make_unique<PacketNetwork>(episode.topology, rng_.NextU64());
   if (!trace.empty()) {
     net_->SetBandwidthTrace(std::move(trace));
   }
-
-  // Per-agent propagation RTT: path hops both ways plus the agent's extra
-  // delay. Homogeneous topologies keep the historical hops * BaseRttS() form
-  // (bit-identical to the pre-topology env — per-hop summation rounds
-  // differently for >=4 hops); heterogeneous ones (N-leaf, per-link scales)
-  // sum their own path's propagation delays.
-  const bool heterogeneous = config_.topology.Heterogeneous();
-  const FlowPathSpec shared_path = AgentPath(config_.topology, 0);
-  const double shared_path_rtt_s =
-      heterogeneous ? PathPropRttS(topology, shared_path.path)
-                    : static_cast<double>(shared_path.path.size()) * link_.BaseRttS();
-  // One cyclic expansion of the configured extra-delay ladder, reused for both
-  // the reward's RTT reference and the wire's FlowOptions so they cannot
-  // disagree.
-  std::vector<double> agent_extras(static_cast<size_t>(config_.num_agents), 0.0);
-  std::vector<FlowPathSpec> agent_paths;
-  agent_paths.reserve(static_cast<size_t>(config_.num_agents));
-  agent_base_rtt_s_.clear();
-  double max_agent_rtt_s = 0.0;
-  for (int i = 0; i < config_.num_agents; ++i) {
-    agent_paths.push_back(i == 0 ? shared_path : AgentPath(config_.topology, i));
-    const FlowPathSpec& paths = agent_paths.back();
-    const double path_rtt_s = (heterogeneous && i != 0)
-                                  ? PathPropRttS(topology, paths.path)
-                                  : shared_path_rtt_s;
-    if (!config_.agent_extra_delay_s.empty()) {
-      agent_extras[static_cast<size_t>(i)] =
-          config_.agent_extra_delay_s[static_cast<size_t>(i) %
-                                      config_.agent_extra_delay_s.size()];
-    }
-    const double rtt = path_rtt_s + 2.0 * agent_extras[static_cast<size_t>(i)];
-    agent_base_rtt_s_.push_back(rtt);
-    max_agent_rtt_s = std::max(max_agent_rtt_s, rtt);
-  }
+  agent_base_rtt_s_ = std::move(episode.agent_base_rtt_s);
 
   // The synchronized step covers the slowest agent's propagation RTT, so every
   // flow's monitor interval spans at least one of its own round trips.
+  const double max_agent_rtt_s =
+      *std::max_element(agent_base_rtt_s_.begin(), agent_base_rtt_s_.end());
   step_s_ = std::max(config_.step_min_duration_s,
                      config_.step_rtt_multiple * max_agent_rtt_s);
   env_time_s_ = 0.0;
@@ -220,13 +221,12 @@ std::vector<std::vector<double>> MultiFlowCcEnv::Reset() {
 
   const double bw0 = net_->CurrentBandwidthBps();
   const int total_flows =
-      config_.num_agents + static_cast<int>(config_.competitors.size());
+      config_.num_agents + static_cast<int>(config_.competitor_schemes.size());
   const double share0 = bw0 / static_cast<double>(std::max(1, total_flows));
 
   agent_ccs_.clear();
   agent_flow_ids_.clear();
   agent_start_s_.clear();
-  competitor_flow_ids_.clear();
   for (int i = 0; i < config_.num_agents; ++i) {
     histories_[static_cast<size_t>(i)].Reset();
     // Flow arrivals snap to the step grid so every flow's monitor intervals stay
@@ -240,27 +240,17 @@ std::vector<std::vector<double>> MultiFlowCcEnv::Reset() {
         config_.min_rate_bps, share0 * rng_.Uniform(1.0 - jitter, 1.0 + jitter));
     auto cc = std::make_unique<ExternalRateCc>(initial_rate);
     agent_ccs_.push_back(cc.get());
-    FlowOptions options;
+    FlowOptions& options = episode.agents[static_cast<size_t>(i)];
     options.start_time_s = start_s;
     options.mi_fixed_duration_s = step_s_;
     options.initial_rate_bps = initial_rate;
-    options.path = agent_paths[static_cast<size_t>(i)].path;
-    options.ack_path = agent_paths[static_cast<size_t>(i)].ack_path;
-    options.extra_one_way_delay_s = agent_extras[static_cast<size_t>(i)];
-    options.ecn_capable = config_.aqm.ecn;
-    agent_flow_ids_.push_back(net_->AddFlow(std::move(cc), options));
+    agent_flow_ids_.push_back(net_->AddFlow(std::move(cc), std::move(options)));
     agent_start_s_.push_back(start_s);
   }
-  int competitor_index = 0;
-  for (const CompetitorFlow& competitor : config_.competitors) {
-    assert(competitor.make != nullptr);
-    const FlowPathSpec paths = CompetitorPath(config_.topology, competitor_index++);
-    FlowOptions options;
-    options.start_time_s = competitor.start_time_s;
-    options.stop_time_s = competitor.stop_time_s;
-    options.path = paths.path;
-    options.ack_path = paths.ack_path;
-    competitor_flow_ids_.push_back(net_->AddFlow(competitor.make(), options));
+  for (size_t i = 0; i < episode.competitors.size(); ++i) {
+    std::unique_ptr<CongestionControl> cc = MakeBaselineCc(config_.competitor_schemes[i]);
+    assert(cc != nullptr && "unknown competitor scheme");
+    net_->AddFlow(std::move(cc), std::move(episode.competitors[i]));
   }
 
   // Warm the histories with one neutral interval, as in CcEnv::Reset.
@@ -337,12 +327,10 @@ VectorStepResult MultiFlowCcEnv::Step(const std::vector<double>& actions) {
 std::vector<double> MultiFlowCcEnv::BuildObservation(int agent) const {
   std::vector<double> obs;
   obs.reserve(ObservationDim());
-  if (config_.include_weight_in_obs) {
-    const WeightVector& w = weights_[static_cast<size_t>(agent)];
-    obs.push_back(w.thr);
-    obs.push_back(w.lat);
-    obs.push_back(w.loss);
-  }
+  const WeightVector& w = weights_[static_cast<size_t>(agent)];
+  obs.push_back(w.thr);
+  obs.push_back(w.lat);
+  obs.push_back(w.loss);
   histories_[static_cast<size_t>(agent)].AppendObservation(&obs);
   return obs;
 }

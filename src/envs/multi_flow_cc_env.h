@@ -58,15 +58,6 @@ class ExternalRateCc : public CongestionControl {
   bool has_report_ = false;
 };
 
-// One non-agent flow sharing the bottleneck (a handcrafted/online-learning baseline
-// driving itself through the generic CongestionControl interface).
-struct CompetitorFlow {
-  std::string name;
-  std::function<std::unique_ptr<CongestionControl>()> make;
-  double start_time_s = 0.0;
-  double stop_time_s = std::numeric_limits<double>::infinity();
-};
-
 // One scheduled mid-episode preference change (the paper's online objective
 // adjustment, §4.3, as a training/evaluation event): starting with the environment
 // step whose monitor interval begins at or after `time_s`, `agent` (every agent when
@@ -109,57 +100,112 @@ struct ObjectivePlan {
   // `rng` is non-null — draws the per-episode samples (two draws per agent, agent
   // order). Pass rng = nullptr to apply only the deterministic part (construction
   // time, where consuming env draws would shift the episode stream). Training
-  // (MultiFlowCcEnv::Reset) and evaluation (mocc_simulate) both call this, so the
-  // weights a simulation reports are provably the weights training used.
+  // (MultiFlowCcEnv::Reset) and evaluation (mocc_simulate) both call this, so a
+  // simulation assigns weights by the same rules training does. The draws
+  // themselves differ: mocc_simulate samples the link before the weights and
+  // seeds its network from --seed, so it reproduces a scenario's structure, not
+  // a training episode's draws.
   std::vector<WeightVector> EpisodeWeights(int num_agents,
                                            std::vector<WeightVector> base,
                                            Rng* rng) const;
 };
 
-struct MultiFlowCcEnvConfig {
-  int num_agents = 2;
-  // Heterogeneous per-agent objectives: fixed mixes, per-episode sampling, scheduled
-  // mid-episode preference switches. Empty = all agents share whatever SetObjective
-  // installs (the homogeneous pre-plan behaviour, bit-identical).
-  ObjectivePlan objectives;
-  // Link selection per episode: the fixed link if set, otherwise sampled from the range.
-  LinkParamsRange link_range = TrainingRange();
+// Everything that varies between multi-flow workloads: the flows, their link
+// and topology, the link models on the bottleneck and the objective assignment.
+// Scenario (the named catalog entry) and MultiFlowCcEnvConfig (the training env)
+// both derive from it, and BuildEpisodeNetwork turns it into one episode's
+// network for both the env and mocc_simulate.
+struct EpisodeSpec {
+  // 1 with no competitors and no packet-level link model = a single-flow CcEnv
+  // scenario (see Scenario::IsMultiFlow).
+  int num_agents = 1;
+  // Link selection per episode: fixed_link if set, else link_range if set, else
+  // the Table 3 training row (TrainingRange()).
   std::optional<LinkParams> fixed_link;
+  std::optional<LinkParamsRange> link_range;
+  // Per-episode bandwidth schedule; null = constant bandwidth. The trace wins
+  // over the link's constant bandwidth.
+  std::function<BandwidthTrace(const LinkParams&, Rng*)> trace_generator;
+  // Run the generator once on the first Reset and reuse its schedule for every
+  // later episode of the env (for generators whose construction cost rivals an
+  // episode — the synthetic cellular schedule; see CcEnv::SetTraceGenerator).
+  bool cache_trace_per_env = false;
   // Episode topology built from the (sampled or fixed) link: the dumbbell
   // default, a multi-hop parking lot (agents traverse every hop, competitor i
-  // is cross traffic on hop i), or a congested reverse path (agents' ACKs share
-  // a reverse link that competitors drive in their data direction).
+  // is cross traffic on hop i), a congested reverse path (agents' ACKs share a
+  // reverse link that competitors drive in their data direction) or an N-leaf
+  // dumbbell; see src/netsim/topology.h.
   TopologySpec topology;
   // Per-agent extra one-way propagation delay (cycled when shorter than
   // num_agents; empty = none) — heterogeneous-RTT contention on one bottleneck.
   std::vector<double> agent_extra_delay_s;
-  // Bandwidth schedule, same precedence as CcEnv: the per-episode generator wins over
-  // the fixed trace; any trace wins over the link's constant bandwidth.
-  BandwidthTrace trace;
-  std::function<BandwidthTrace(const LinkParams&, Rng*)> trace_generator;
-  // Run the generator once on the first Reset and reuse its schedule for every later
-  // episode of this env (see CcEnv::SetTraceGenerator for the semantics/rationale).
-  bool cache_trace_per_env = false;
-  // Injected fault schedule, applied to the bottleneck (link 0) of every episode
-  // topology. Empty = no faults — the historical behaviour, bit-identical. When
-  // fault.randomize_phase is set, Reset draws a fresh window phase per episode from
-  // the env's Rng; the draw happens only when a fault is configured, so fault-free
-  // configurations keep their existing per-episode draw streams untouched.
+  // Competitor flows sharing the bottleneck, by baseline scheme name (see
+  // MakeBaselineCc), with one shared arrival/departure schedule.
+  std::vector<std::string> competitor_schemes;
+  double competitor_start_s = 0.0;
+  double competitor_stop_s = std::numeric_limits<double>::infinity();
+  // Agent i arrives at i * agent_stagger_s (snapped to the step grid in the env),
+  // modelling flow-arrival dynamics; 0 starts everyone together.
+  double agent_stagger_s = 0.0;
+  // true: the reward's capacity term is the fair share (bandwidth / active flows), so
+  // each agent is rewarded for regulating around its share rather than the whole pipe;
+  // false: full bandwidth, as in the single-flow CcEnv.
+  bool fair_share_reward = true;
+  // Heterogeneous per-agent objectives: fixed mixes, per-episode sampling, scheduled
+  // mid-episode preference switches. Empty = all agents share whatever SetObjective
+  // installs (the homogeneous pre-plan behaviour, bit-identical).
+  ObjectivePlan objectives;
+  // Injected fault schedule on the bottleneck (link 0). Empty = no faults, the
+  // historical behaviour, bit-identical. With fault.randomize_phase, each episode
+  // draws a fresh window phase from the episode Rng; the draw happens only when a
+  // fault is configured, so fault-free specs keep their draw streams untouched.
   FaultSpec fault;
-  // Active queue management on the bottleneck (link 0) of every episode topology.
-  // Droptail = no AQM, the historical behaviour, bit-identical. With aqm.ecn, the
-  // agents' flows are ECN-capable (marked instead of dropped) while competitors
-  // stay non-ECT and keep taking drops — the standard mixed-deployment setup.
+  // Active queue management on the bottleneck (link 0). Droptail = no AQM, the
+  // historical behaviour, bit-identical. With aqm.ecn, the agents' flows are
+  // ECN-capable (marked instead of dropped) while competitors stay non-ECT and
+  // keep taking drops — the standard mixed-deployment setup.
   AqmSpec aqm;
   // Bursty wifi-style service-time variation on the bottleneck (link 0). Empty =
-  // none, bit-identical. When wifi_jitter.randomize_phase is set, Reset draws a
-  // fresh burst phase per episode from the env's Rng; as with `fault`, the draw
-  // happens only when a jitter model is configured.
+  // none, bit-identical. With wifi_jitter.randomize_phase, each episode draws a
+  // fresh burst phase after the fault phase; as with `fault`, only when a jitter
+  // model is configured.
   WifiJitterSpec wifi_jitter;
-  std::vector<CompetitorFlow> competitors;
-  // Agent i's flow starts at i * agent_stagger_s (snapped to the step grid), modelling
-  // flow-arrival dynamics; 0 starts everyone together.
-  double agent_stagger_s = 0.0;
+
+  // The episode's link: fixed_link, or a draw from the configured range.
+  LinkParams SampleLink(Rng* rng) const {
+    return fixed_link.has_value() ? *fixed_link
+                                  : link_range.value_or(TrainingRange()).Sample(rng);
+  }
+};
+
+// One episode's network, before any flow is added: what training and
+// evaluation must agree on. Callers add their own controllers, start times and
+// monitor-interval sizing on top of the flow options.
+struct EpisodeNetwork {
+  // The spec's topology over the episode link, with the bottleneck's fault,
+  // wifi jitter and AQM installed.
+  NetworkTopology topology;
+  // Agent i's paths, extra one-way delay and ECN capability.
+  std::vector<FlowOptions> agents;
+  // Agent i's propagation-only RTT (path hops both ways plus twice its extra
+  // delay) — the reward's latency reference, so heterogeneous-RTT and
+  // multi-hop flows are scored against their own floor.
+  std::vector<double> agent_base_rtt_s;
+  // Competitor i's paths and the shared start/stop schedule.
+  std::vector<FlowOptions> competitors;
+};
+
+// Builds one episode's network from `spec` over `link`. Draws from `rng` only
+// for a randomized fault phase and then a randomized wifi-jitter phase, in that
+// order. Homogeneous shapes give every agent hops x link.BaseRttS() (bit-identical
+// to the pre-topology env: per-hop summation rounds differently for >=4 hops);
+// heterogeneous ones (N-leaf, per-link scales) sum the agent's own path.
+EpisodeNetwork BuildEpisodeNetwork(const EpisodeSpec& spec, const LinkParams& link,
+                                   Rng* rng);
+
+// The training environment's configuration: the episode spec plus the RL knobs
+// (observation, action and reward shaping) inherited from the model's CcEnvConfig.
+struct MultiFlowCcEnvConfig : EpisodeSpec {
   size_t history_len = 10;        // η (Table 2)
   double action_scale = 0.025;    // α (Table 2)
   // Synchronized environment step = one monitor interval for every flow:
@@ -167,15 +213,10 @@ struct MultiFlowCcEnvConfig {
   double step_rtt_multiple = 1.0;
   double step_min_duration_s = 0.010;
   int max_steps_per_episode = 400;
-  bool include_weight_in_obs = true;
   // Widens each history entry with the MI's ECN-mark fraction (see
   // MiHistoryTracker); changes ObservationDim, so it must match the model's
   // MoccConfig::ecn_signal.
   bool include_ecn_in_obs = false;
-  // true: the reward's capacity term is the fair share (bandwidth / active flows), so
-  // each agent is rewarded for regulating around its share rather than the whole pipe;
-  // false: full bandwidth, as in the single-flow CcEnv.
-  bool fair_share_reward = true;
   double min_rate_bps = 0.05e6;
   // Training floor as a fraction of the fair share (the CcEnv floor rationale, scaled
   // to contention: it removes the idle attractor without forcing overload when N is
@@ -221,9 +262,7 @@ class MultiFlowCcEnv : public VectorEnv {
   // Flows currently sharing the bottleneck (started agents + scheduled competitors).
   int ActiveFlowCount() const;
   bool AgentStarted(int agent) const;
-  // Propagation-only RTT of agent i's path (hops both ways + its extra delay);
-  // the reward's latency reference, so heterogeneous-RTT and multi-hop flows
-  // are scored against their own floor rather than the one-hop base.
+  // Propagation-only RTT of agent i's path (EpisodeNetwork::agent_base_rtt_s).
   double AgentBaseRttS(int agent) const {
     return agent_base_rtt_s_[static_cast<size_t>(agent)];
   }
@@ -273,7 +312,6 @@ class MultiFlowCcEnv : public VectorEnv {
   std::vector<int> agent_flow_ids_;
   std::vector<double> agent_start_s_;
   std::vector<double> agent_base_rtt_s_;
-  std::vector<int> competitor_flow_ids_;
   double step_s_ = 0.0;
   double env_time_s_ = 0.0;
   int step_count_ = 0;

@@ -470,34 +470,16 @@ std::unique_ptr<CcEnv> Scenario::MakeSingleFlowEnv(const CcEnvConfig& base,
 std::unique_ptr<MultiFlowCcEnv> Scenario::MakeMultiFlowEnv(const CcEnvConfig& base,
                                                            uint64_t seed) const {
   MultiFlowCcEnvConfig config;
-  config.num_agents = num_agents;
-  config.link_range = link_range.has_value() ? *link_range : base.link_range;
-  config.fixed_link = fixed_link;
-  config.topology = topology;
-  config.agent_extra_delay_s = agent_extra_delay_s;
-  config.trace_generator = trace_generator;
-  config.cache_trace_per_env = cache_trace_per_env;
-  for (const std::string& scheme : competitor_schemes) {
-    CompetitorFlow competitor;
-    competitor.name = scheme;
-    competitor.make = [scheme]() { return MakeBaselineCc(scheme); };
-    competitor.start_time_s = competitor_start_s;
-    competitor.stop_time_s = competitor_stop_s;
-    config.competitors.push_back(std::move(competitor));
+  static_cast<EpisodeSpec&>(config) = *this;
+  if (!config.link_range.has_value()) {
+    config.link_range = base.link_range;
   }
-  config.agent_stagger_s = agent_stagger_s;
-  config.objectives = objectives;
-  config.fault = fault;
-  config.aqm = aqm;
-  config.wifi_jitter = wifi_jitter;
   config.include_ecn_in_obs = base.include_ecn_in_obs;
   config.history_len = base.history_len;
   config.action_scale = base.action_scale;
   config.step_rtt_multiple = base.mi_rtt_multiple;
   config.step_min_duration_s = base.mi_min_duration_s;
   config.max_steps_per_episode = base.max_steps_per_episode;
-  config.include_weight_in_obs = base.include_weight_in_obs;
-  config.fair_share_reward = fair_share_reward;
   config.min_rate_bps = base.min_rate_bps;
   config.min_rate_fraction_of_share = base.min_rate_fraction_of_bw;
   config.max_rate_multiple = base.max_rate_multiple;

@@ -1,7 +1,7 @@
 // Named, reproducible training/evaluation workloads — the scenario subsystem. A
-// Scenario describes everything that varies between workloads (link selection,
-// bandwidth trace, number of competing agents, competitor schemes, flow
-// arrival/departure schedule, per-agent objective assignment) and knows how to
+// Scenario is a named EpisodeSpec (link selection, bandwidth trace, number of
+// competing agents, competitor schemes, flow arrival/departure schedule,
+// per-agent objective assignment, bottleneck link models) and knows how to
 // build the matching environment:
 // single-flow CcEnv scenarios train exactly like the paper's §5 setup, multi-flow
 // scenarios train N agents against a shared PacketNetwork bottleneck
@@ -14,8 +14,6 @@
 #define MOCC_SRC_ENVS_SCENARIO_H_
 
 #include <cstdio>
-#include <functional>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -27,51 +25,11 @@
 
 namespace mocc {
 
-struct Scenario {
+// A named workload: the episode spec (flows, link, topology, link models,
+// objective plan — see EpisodeSpec) plus its catalog name and description.
+struct Scenario : EpisodeSpec {
   std::string name;
   std::string description;
-  // 1 with no competitors = single-flow CcEnv scenario; otherwise MultiFlowCcEnv.
-  int num_agents = 1;
-  // Link selection per episode: fixed_link if set, else link_range if set, else the
-  // environment's default sampling range (Table 3 training row).
-  std::optional<LinkParams> fixed_link;
-  std::optional<LinkParamsRange> link_range;
-  // Per-episode bandwidth schedule; null = constant bandwidth.
-  std::function<BandwidthTrace(const LinkParams&, Rng*)> trace_generator;
-  // Build the trace once per env instead of once per episode (for generators whose
-  // construction cost rivals an episode — the synthetic cellular schedule). See
-  // CcEnv::SetTraceGenerator for the exact semantics.
-  bool cache_trace_per_env = false;
-  // Episode topology (dumbbell / parking-lot / congested reverse path) built
-  // from the sampled or fixed link; see src/netsim/topology.h for the shapes
-  // and the agent/competitor path-assignment rules.
-  TopologySpec topology;
-  // Per-agent extra one-way delay, cycled over agents (heterogeneous-RTT
-  // scenarios); empty = homogeneous.
-  std::vector<double> agent_extra_delay_s;
-  // Competitor flows sharing the bottleneck, by baseline scheme name (see
-  // MakeBaselineCc), with one shared arrival/departure schedule.
-  std::vector<std::string> competitor_schemes;
-  double competitor_start_s = 0.0;
-  double competitor_stop_s = std::numeric_limits<double>::infinity();
-  // Agent i arrives at i * agent_stagger_s (multi-flow scenarios).
-  double agent_stagger_s = 0.0;
-  // Multi-flow reward capacity: fair share (bandwidth / active flows) vs full pipe.
-  bool fair_share_reward = true;
-  // Heterogeneous per-agent objectives (multi-flow scenarios only): fixed mixes
-  // cycled over agents, per-episode sampled weight vectors (uniform over the
-  // floored simplex, from the env's seed-deterministic Rng), and scheduled
-  // mid-episode preference switches. See ObjectivePlan in multi_flow_cc_env.h.
-  ObjectivePlan objectives;
-  // Injected fault schedule on the bottleneck link (multi-flow scenarios only);
-  // empty = clean link. See FaultSpec and MultiFlowCcEnvConfig::fault.
-  FaultSpec fault;
-  // AQM (RED/CoDel, optionally ECN-marking) on the bottleneck link; droptail =
-  // none. Forces the packet-level environment — the fluid link cannot mark.
-  AqmSpec aqm;
-  // Bursty wifi-style service-time jitter on the bottleneck; empty = none.
-  // Forces the packet-level environment.
-  WifiJitterSpec wifi_jitter;
   // Route even a lone agent through the packet-level MultiFlowCcEnv (per-packet
   // wire loss, queue dynamics). Scenarios whose point is a link-layer behaviour
   // the fluid model does not simulate set this.

@@ -45,22 +45,6 @@ NetworkTopology NetworkTopology::SingleBottleneck(const LinkParams& params) {
   return topology;
 }
 
-NetworkTopology NetworkTopology::ParkingLot(const LinkParams& params, int hops) {
-  assert(hops >= 1 && hops <= kMaxPathHops);
-  NetworkTopology topology;
-  for (int i = 0; i < std::clamp(hops, 1, kMaxPathHops); ++i) {
-    topology.links.push_back(FromParams(params));
-  }
-  return topology;
-}
-
-NetworkTopology NetworkTopology::WithReversePath(const LinkParams& params) {
-  NetworkTopology topology;
-  topology.links.push_back(FromParams(params));  // forward bottleneck
-  topology.links.push_back(FromParams(params));  // reverse-direction link
-  return topology;
-}
-
 NetworkTopology BuildTopology(const TopologySpec& spec, const LinkParams& base) {
   NetworkTopology topology;
   switch (spec.kind) {
@@ -116,8 +100,6 @@ FlowPathSpec AgentPath(const TopologySpec& spec, int agent_index) {
   }
   return paths;
 }
-
-FlowPathSpec AgentPath(const TopologySpec& spec) { return AgentPath(spec, 0); }
 
 FlowPathSpec CompetitorPath(const TopologySpec& spec, int competitor_index) {
   FlowPathSpec paths;

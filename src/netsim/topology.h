@@ -25,7 +25,9 @@
 //
 // TopologySpec is the catalog-facing description: enough to rebuild the episode
 // topology from a sampled LinkParams, and to assign each agent/competitor flow
-// its data and ACK paths consistently across MultiFlowCcEnv and mocc_simulate.
+// its data and ACK paths. BuildEpisodeNetwork (src/envs/multi_flow_cc_env.h) is
+// the one caller that turns a spec into an episode network, for both
+// MultiFlowCcEnv and mocc_simulate.
 #ifndef MOCC_SRC_NETSIM_TOPOLOGY_H_
 #define MOCC_SRC_NETSIM_TOPOLOGY_H_
 
@@ -65,16 +67,10 @@ struct LinkSpec {
 struct NetworkTopology {
   std::vector<LinkSpec> links;
 
-  // The dumbbell: one droptail bottleneck carrying every flow's data direction.
+  // The dumbbell: one droptail bottleneck carrying every flow's data direction,
+  // with the link's queue capacity taken verbatim (BuildTopology clamps it to at
+  // least one packet).
   static NetworkTopology SingleBottleneck(const LinkParams& params);
-
-  // `hops` equal links in series (all inherit the base link's parameters), for
-  // end-to-end flows crossing several potential bottlenecks.
-  static NetworkTopology ParkingLot(const LinkParams& params, int hops);
-
-  // Two links: link 0 is the forward bottleneck, link 1 the reverse-direction
-  // link that agents' ACKs share with reverse-direction data traffic.
-  static NetworkTopology WithReversePath(const LinkParams& params);
 };
 
 // Multiplicative per-link overrides of the sampled base link, for asymmetric
@@ -136,8 +132,6 @@ NetworkTopology BuildTopology(const TopologySpec& spec, const LinkParams& base);
 // path, so `agent_index` only matters for the N-leaf dumbbell: agent i takes
 // {leaf-in i%P, bottleneck, leaf-out i%P}.
 FlowPathSpec AgentPath(const TopologySpec& spec, int agent_index);
-// The shared-path form (agent 0), kept for the homogeneous call sites.
-FlowPathSpec AgentPath(const TopologySpec& spec);
 
 // Competitor placement: dumbbell competitors share the bottleneck; parking-lot
 // competitor i is cross traffic on hop i (mod hops); reverse-path competitors

@@ -235,12 +235,9 @@ EpisodeGold RunMultiFlowEpisode() {
   link.queue_capacity_pkts = 300;
   config.fixed_link = link;
   config.agent_stagger_s = 1.0;
-  CompetitorFlow competitor;
-  competitor.name = "cubic";
-  competitor.make = []() { return std::make_unique<CubicCc>(); };
-  competitor.start_time_s = 2.0;
-  competitor.stop_time_s = 8.0;
-  config.competitors.push_back(std::move(competitor));
+  config.competitor_schemes = {"cubic"};
+  config.competitor_start_s = 2.0;
+  config.competitor_stop_s = 8.0;
   config.max_steps_per_episode = 150;
   MultiFlowCcEnv env(config, /*seed=*/3131);
   env.SetObjective(WeightVector(0.4, 0.4, 0.2));

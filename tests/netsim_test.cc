@@ -485,27 +485,38 @@ TEST(PacketNetworkTest, DeterministicGivenSeed) {
   EXPECT_NE(run(99), run(100));
 }
 
+// Named specs for the shapes the tests below build (see BuildTopology).
+TopologySpec ParkingLotSpec(int hops) {
+  TopologySpec spec;
+  spec.kind = TopologyKind::kParkingLot;
+  spec.hops = hops;
+  return spec;
+}
+
+TopologySpec ReversePathSpec() {
+  TopologySpec spec;
+  spec.kind = TopologyKind::kReversePath;
+  return spec;
+}
+
 TEST(TopologyTest, BuildersMatchSpecShapes) {
   LinkParams p;
   p.bandwidth_bps = 5e6;
   p.one_way_delay_s = 0.010;
   EXPECT_EQ(NetworkTopology::SingleBottleneck(p).links.size(), 1u);
-  EXPECT_EQ(NetworkTopology::ParkingLot(p, 3).links.size(), 3u);
-  EXPECT_EQ(NetworkTopology::WithReversePath(p).links.size(), 2u);
+  EXPECT_EQ(BuildTopology(ParkingLotSpec(3), p).links.size(), 3u);
+  EXPECT_EQ(BuildTopology(ReversePathSpec(), p).links.size(), 2u);
 
-  TopologySpec parking;
-  parking.kind = TopologyKind::kParkingLot;
-  parking.hops = 3;
-  const FlowPathSpec agent = AgentPath(parking);
+  const TopologySpec parking = ParkingLotSpec(3);
+  const FlowPathSpec agent = AgentPath(parking, 0);
   EXPECT_EQ(agent.path, (std::vector<int>{0, 1, 2}));
   EXPECT_TRUE(agent.ack_path.empty());
   EXPECT_EQ(CompetitorPath(parking, 0).path, (std::vector<int>{0}));
   EXPECT_EQ(CompetitorPath(parking, 2).path, (std::vector<int>{2}));
   EXPECT_EQ(CompetitorPath(parking, 4).path, (std::vector<int>{1}));  // wraps
 
-  TopologySpec reverse;
-  reverse.kind = TopologyKind::kReversePath;
-  EXPECT_EQ(AgentPath(reverse).ack_path, (std::vector<int>{1}));
+  const TopologySpec reverse = ReversePathSpec();
+  EXPECT_EQ(AgentPath(reverse, 0).ack_path, (std::vector<int>{1}));
   EXPECT_EQ(CompetitorPath(reverse, 0).path, (std::vector<int>{1}));
   EXPECT_TRUE(CompetitorPath(reverse, 0).ack_path.empty());
 }
@@ -515,7 +526,7 @@ TEST(PacketNetworkTopologyTest, MultiHopPathConservesAndStretchesRtt) {
   p.bandwidth_bps = 10e6;
   p.one_way_delay_s = 0.010;
   p.queue_capacity_pkts = 200;
-  PacketNetwork net(NetworkTopology::ParkingLot(p, 3), 7);
+  PacketNetwork net(BuildTopology(ParkingLotSpec(3), p), 7);
   FlowOptions opts;
   opts.path = {0, 1, 2};
   const int flow = net.AddFlow(std::make_unique<FixedRateCc>(4e6), opts);
@@ -538,7 +549,7 @@ TEST(PacketNetworkTopologyTest, CrossTrafficCongestsEveryParkingLotHop) {
   p.bandwidth_bps = 6e6;
   p.one_way_delay_s = 0.010;
   p.queue_capacity_pkts = 50;
-  PacketNetwork net(NetworkTopology::ParkingLot(p, 3), 11);
+  PacketNetwork net(BuildTopology(ParkingLotSpec(3), p), 11);
   FlowOptions e2e;
   e2e.path = {0, 1, 2};
   const int through = net.AddFlow(std::make_unique<FixedRateCc>(6e6), e2e);
@@ -567,7 +578,7 @@ TEST(PacketNetworkTopologyTest, ReversePathCongestionDelaysAcks) {
     p.bandwidth_bps = 8e6;
     p.one_way_delay_s = 0.015;
     p.queue_capacity_pkts = 100;
-    PacketNetwork net(NetworkTopology::WithReversePath(p), 13);
+    PacketNetwork net(BuildTopology(ReversePathSpec(), p), 13);
     FlowOptions agent;
     agent.path = {0};
     agent.ack_path = {1};
@@ -606,7 +617,7 @@ TEST(PacketNetworkTopologyTest, TopologyRunsAreBitDeterministic) {
     spec.kind = kind;
     PacketNetwork net(BuildTopology(spec, p), seed);
     FlowOptions agent;
-    const FlowPathSpec agent_paths = AgentPath(spec);
+    const FlowPathSpec agent_paths = AgentPath(spec, 0);
     agent.path = agent_paths.path;
     agent.ack_path = agent_paths.ack_path;
     const int a = net.AddFlow(std::make_unique<FixedRateCc>(4e6), agent);

@@ -1,10 +1,12 @@
 // Tests for the scenario subsystem: the ScenarioRegistry catalog, the shared-
 // bottleneck MultiFlowCcEnv (observation layout, rewards, flow arrival/departure,
-// fairness introspection, determinism), and scenario rollout collection through the
+// fairness introspection, determinism), the episode-network builder it shares
+// with mocc_simulate, and scenario rollout collection through the
 // PPO/ThreadPool engine (serial vs parallel bit-identity, scenario-sampled offline
 // training).
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -323,12 +325,9 @@ TEST(MultiFlowCcEnvTest, CompetitorScheduleDrivesActiveFlowCount) {
   config.num_agents = 2;
   config.fixed_link = LinkParams{};
   config.step_min_duration_s = 0.05;
-  CompetitorFlow competitor;
-  competitor.name = "cubic";
-  competitor.make = [] { return MakeBaselineCc("cubic"); };
-  competitor.start_time_s = 1.0;
-  competitor.stop_time_s = 2.0;
-  config.competitors.push_back(competitor);
+  config.competitor_schemes = {"cubic"};
+  config.competitor_start_s = 1.0;
+  config.competitor_stop_s = 2.0;
   MultiFlowCcEnv env(config, 11);
   env.SetObjective(BalancedObjective());
   env.Reset();
@@ -401,10 +400,7 @@ TEST(MultiFlowCcEnvTest, EpisodesAreBitIdenticalGivenSeed) {
     MultiFlowCcEnvConfig config;
     config.num_agents = 3;
     config.max_steps_per_episode = 40;
-    CompetitorFlow competitor;
-    competitor.name = "bbr";
-    competitor.make = [] { return MakeBaselineCc("bbr"); };
-    config.competitors.push_back(competitor);
+    config.competitor_schemes = {"bbr"};
     MultiFlowCcEnv env(config, seed);
     env.SetObjective(BalancedObjective());
     std::vector<double> all;
@@ -432,6 +428,190 @@ TEST(MultiFlowCcEnvTest, EpisodesAreBitIdenticalGivenSeed) {
     ASSERT_EQ(a[i], b[i]) << "diverged at element " << i;
   }
   EXPECT_NE(run(31), run(32));
+}
+
+// BuildEpisodeNetwork is the one episode-network builder behind MultiFlowCcEnv
+// and mocc_simulate; golden episodes and benchmark digests stay stable only
+// while its paths, RTT references and Rng draws stay exactly as pinned here.
+LinkParams EpisodeTestLink() {
+  LinkParams link;
+  link.bandwidth_bps = 8e6;
+  link.one_way_delay_s = 0.017;
+  link.queue_capacity_pkts = 120;
+  return link;
+}
+
+// True when `rng` and `reference` are at the same stream position.
+bool SameRngPosition(Rng rng, Rng reference) {
+  for (int i = 0; i < 4; ++i) {
+    if (rng.NextU64() != reference.NextU64()) return false;
+  }
+  return true;
+}
+
+TEST(EpisodeNetworkTest, DumbbellPathsScheduleEcnAndRtts) {
+  EpisodeSpec spec;
+  spec.num_agents = 3;
+  spec.agent_extra_delay_s = {0.0, 0.012};
+  spec.competitor_schemes = {"cubic", "bbr"};
+  spec.competitor_start_s = 1.5;
+  spec.competitor_stop_s = 6.0;
+  spec.aqm.kind = AqmKind::kRed;
+  spec.aqm.ecn = true;
+  const LinkParams link = EpisodeTestLink();
+  Rng rng(5);
+  const Rng before = rng;
+  const EpisodeNetwork episode = BuildEpisodeNetwork(spec, link, &rng);
+
+  ASSERT_EQ(episode.topology.links.size(), 1u);
+  EXPECT_EQ(episode.topology.links[0].aqm.kind, AqmKind::kRed);
+  EXPECT_TRUE(episode.topology.links[0].fault.empty());
+  EXPECT_TRUE(episode.topology.links[0].wifi_jitter.empty());
+  ASSERT_EQ(episode.agents.size(), 3u);
+  ASSERT_EQ(episode.agent_base_rtt_s.size(), 3u);
+  const double extras[] = {0.0, 0.012, 0.0};  // the ladder cycles
+  for (size_t i = 0; i < 3; ++i) {
+    const FlowOptions& agent = episode.agents[i];
+    EXPECT_EQ(agent.path, (std::vector<int>{0}));
+    EXPECT_TRUE(agent.ack_path.empty());
+    EXPECT_TRUE(agent.ecn_capable);
+    EXPECT_EQ(agent.extra_one_way_delay_s, extras[i]);
+    EXPECT_EQ(episode.agent_base_rtt_s[i], link.BaseRttS() + 2.0 * extras[i]);
+  }
+  ASSERT_EQ(episode.competitors.size(), 2u);
+  for (const FlowOptions& competitor : episode.competitors) {
+    EXPECT_EQ(competitor.path, (std::vector<int>{0}));
+    EXPECT_EQ(competitor.start_time_s, 1.5);
+    EXPECT_EQ(competitor.stop_time_s, 6.0);
+    EXPECT_FALSE(competitor.ecn_capable);  // competitors stay non-ECT
+  }
+  EXPECT_TRUE(SameRngPosition(rng, before));  // nothing randomized, nothing drawn
+}
+
+TEST(EpisodeNetworkTest, ParkingLotAgentsCrossEveryHopAtHopsTimesBaseRtt) {
+  EpisodeSpec spec;
+  spec.num_agents = 2;
+  spec.topology.kind = TopologyKind::kParkingLot;
+  spec.topology.hops = 3;
+  spec.agent_extra_delay_s = {0.005};
+  spec.competitor_schemes = {"cubic", "cubic", "cubic", "cubic"};
+  const LinkParams link = EpisodeTestLink();
+  Rng rng(6);
+  const EpisodeNetwork episode = BuildEpisodeNetwork(spec, link, &rng);
+
+  ASSERT_EQ(episode.topology.links.size(), 3u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(episode.agents[i].path, (std::vector<int>{0, 1, 2}));
+    EXPECT_FALSE(episode.agents[i].ecn_capable);
+    EXPECT_EQ(episode.agent_base_rtt_s[i], 3.0 * link.BaseRttS() + 2.0 * 0.005);
+  }
+  // Cross flow i loads hop i, wrapping past the last hop.
+  ASSERT_EQ(episode.competitors.size(), 4u);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(episode.competitors[i].path, (std::vector<int>{static_cast<int>(i % 3)}));
+    EXPECT_EQ(episode.competitors[i].start_time_s, 0.0);
+    EXPECT_EQ(episode.competitors[i].stop_time_s,
+              std::numeric_limits<double>::infinity());
+  }
+}
+
+TEST(EpisodeNetworkTest, ReversePathAgentsAckOverTheCompetitorsDataLink) {
+  EpisodeSpec spec;
+  spec.num_agents = 2;
+  spec.topology.kind = TopologyKind::kReversePath;
+  spec.competitor_schemes = {"cubic"};
+  const LinkParams link = EpisodeTestLink();
+  Rng rng(7);
+  const EpisodeNetwork episode = BuildEpisodeNetwork(spec, link, &rng);
+
+  ASSERT_EQ(episode.topology.links.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(episode.agents[i].path, (std::vector<int>{0}));
+    EXPECT_EQ(episode.agents[i].ack_path, (std::vector<int>{1}));
+    EXPECT_EQ(episode.agent_base_rtt_s[i], link.BaseRttS());
+  }
+  ASSERT_EQ(episode.competitors.size(), 1u);
+  EXPECT_EQ(episode.competitors[0].path, (std::vector<int>{1}));
+  EXPECT_TRUE(episode.competitors[0].ack_path.empty());
+}
+
+TEST(EpisodeNetworkTest, NLeafAgentsSumTheirOwnScaledPath) {
+  EpisodeSpec spec;
+  spec.num_agents = 5;
+  spec.topology.kind = TopologyKind::kNLeafDumbbell;
+  spec.topology.leaf_pairs = 3;
+  spec.topology.link_scales = {LinkScale{0.5, 2.0, 1.0}};
+  spec.agent_extra_delay_s = {0.0, 0.004};
+  spec.competitor_schemes = {"cubic", "bbr"};
+  const LinkParams link = EpisodeTestLink();
+  Rng rng(8);
+  const EpisodeNetwork episode = BuildEpisodeNetwork(spec, link, &rng);
+
+  ASSERT_EQ(episode.topology.links.size(), 7u);  // bottleneck + 3 in + 3 out
+  EXPECT_EQ(episode.topology.links[0].prop_delay_s, 2.0 * link.one_way_delay_s);
+  for (size_t i = 0; i < 5; ++i) {
+    const int pair = static_cast<int>(i % 3);
+    const std::vector<int> path = {1 + pair, 0, 4 + pair};
+    EXPECT_EQ(episode.agents[i].path, path);
+    const double extra = i % 2 == 0 ? 0.0 : 0.004;
+    EXPECT_EQ(episode.agent_base_rtt_s[i],
+              PathPropRttS(episode.topology, path) + 2.0 * extra);
+    // The path's own delays, not hops x the base link's RTT.
+    EXPECT_NE(episode.agent_base_rtt_s[i], 3.0 * link.BaseRttS() + 2.0 * extra);
+  }
+  // Competitor i crosses end to end through leaf pair i.
+  ASSERT_EQ(episode.competitors.size(), 2u);
+  EXPECT_EQ(episode.competitors[0].path, (std::vector<int>{1, 0, 4}));
+  EXPECT_EQ(episode.competitors[1].path, (std::vector<int>{2, 0, 5}));
+}
+
+TEST(EpisodeNetworkTest, RandomizedPhasesAreTwoDrawsFaultFirst) {
+  EpisodeSpec spec;
+  spec.fault.blackout_period_s = 4.0;
+  spec.fault.blackout_duration_s = 0.5;
+  spec.fault.randomize_phase = true;
+  spec.wifi_jitter.burst_period_s = 0.7;
+  spec.wifi_jitter.burst_duration_s = 0.1;
+  spec.wifi_jitter.randomize_phase = true;
+  Rng rng(9);
+  Rng expected = rng;
+  const EpisodeNetwork episode = BuildEpisodeNetwork(spec, EpisodeTestLink(), &rng);
+
+  const double fault_phase = expected.Uniform(0.0, spec.fault.MaxPeriodS());
+  const double jitter_phase = expected.Uniform(0.0, spec.wifi_jitter.MaxPeriodS());
+  const LinkSpec& bottleneck = episode.topology.links[0];
+  EXPECT_EQ(bottleneck.fault.phase_s, fault_phase);
+  EXPECT_EQ(bottleneck.fault.blackout_period_s, 4.0);
+  EXPECT_EQ(bottleneck.wifi_jitter.phase_s, jitter_phase);
+  EXPECT_EQ(bottleneck.wifi_jitter.burst_period_s, 0.7);
+  EXPECT_TRUE(SameRngPosition(rng, expected));
+}
+
+TEST(EpisodeNetworkTest, FixedPhaseSpecsLeaveTheRngUntouched) {
+  EpisodeSpec spec;
+  spec.fault.loss_burst_period_s = 8.0;
+  spec.fault.loss_burst_duration_s = 1.0;
+  spec.fault.loss_burst_rate = 0.2;
+  spec.fault.phase_s = 0.25;
+  spec.wifi_jitter.burst_period_s = 0.5;
+  spec.wifi_jitter.burst_duration_s = 0.1;
+  spec.wifi_jitter.phase_s = 0.125;
+  Rng rng(10);
+  const Rng before = rng;
+  const EpisodeNetwork episode = BuildEpisodeNetwork(spec, EpisodeTestLink(), &rng);
+  EXPECT_EQ(episode.topology.links[0].fault.phase_s, 0.25);
+  EXPECT_EQ(episode.topology.links[0].wifi_jitter.phase_s, 0.125);
+  EXPECT_TRUE(SameRngPosition(rng, before));
+
+  // Disabled specs that still ask for a random phase are not drawn for either.
+  EpisodeSpec disabled;
+  disabled.fault.randomize_phase = true;
+  disabled.wifi_jitter.burst_period_s = 0.5;  // zero duration: empty()
+  disabled.wifi_jitter.randomize_phase = true;
+  const EpisodeNetwork clean = BuildEpisodeNetwork(disabled, EpisodeTestLink(), &rng);
+  EXPECT_TRUE(clean.topology.links[0].fault.empty());
+  EXPECT_TRUE(clean.topology.links[0].wifi_jitter.empty());
+  EXPECT_TRUE(SameRngPosition(rng, before));
 }
 
 TEST(ScenarioRolloutTest, VectorRolloutProducesPerAgentTrajectories) {

@@ -3,7 +3,12 @@
 // loss), suitable for plotting. With --scenario, the link, trace, topology, flow count,
 // competitor flows and per-agent objective assignment come from the named scenario
 // instead (the scheme drives every agent flow), and per-flow totals plus the agents'
-// Jain index are reported.
+// Jain index are reported. Without it, the --bw/--owd/--queue/--loss link runs as a
+// one-agent scenario. Either way the episode network (topology, bottleneck link
+// models, flow paths, reward RTT references) comes from BuildEpisodeNetwork, the
+// builder MultiFlowCcEnv trains on; the link is sampled before the objective plan's
+// weights and the network is seeded from --seed, so a run reproduces a scenario's
+// structure, not a particular training episode's draws.
 //
 // Heterogeneous objectives & online preference switching (MOCC flows only):
 //   --objectives assigns a different weight vector to each agent flow (cycled),
@@ -41,11 +46,9 @@
 //   reported per flow. All MOCC knobs flow through one PolicySpec
 //   (src/core/policy_spec.h) — the same spec the serving layer consumes, and
 //   every per-flow controller decides on the serving engine. Fault-injection
-//   scenarios (blackout, flaky-link, loss-burst) apply their FaultSpec to the
-//   bottleneck link here exactly as in training; AQM/ECN and wifi-jitter
-//   scenarios (red-ecn, codel, wifi-jitter, ...) mirror their bottleneck link
-//   models the same way, and MOCC agent flows become ECN-capable whenever the
-//   scenario's AQM marks.
+//   (blackout, flaky-link, loss-burst), AQM/ECN (red-ecn, codel) and wifi-jitter
+//   scenarios get their bottleneck link models from the episode builder, and
+//   MOCC agent flows are ECN-capable whenever the scenario's AQM marks.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -53,6 +56,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,13 +71,6 @@
 namespace {
 
 using namespace mocc;
-
-// One scheduled mid-run preference change (flow < 0 = every agent flow).
-struct SwitchEvent {
-  double time_s = 0.0;
-  int flow = -1;
-  WeightVector to;
-};
 
 // Steady-state aggregates of one flow over [from_s, to_s).
 struct WindowStats {
@@ -117,7 +114,7 @@ int main(int argc, char** argv) {
   std::string scenario_name;
   WeightVector weights = ThroughputObjective();
   std::vector<WeightVector> objective_list;  // --objectives, cycled over agent flows
-  std::vector<SwitchEvent> switches;         // --switch plus the scenario's plan
+  std::vector<PreferenceSwitch> switches;    // --switch plus the scenario's plan
   LinkParams link;
   link.bandwidth_bps = 20e6;
   link.one_way_delay_s = 0.020;
@@ -181,7 +178,7 @@ int main(int argc, char** argv) {
       // TIME:T,L,S — at TIME seconds, every agent flow switches to <T,L,S>.
       const std::string spec = next();
       const size_t colon = spec.find(':');
-      SwitchEvent sw;
+      PreferenceSwitch sw;
       bool time_ok = false;
       if (colon != std::string::npos && colon > 0) {
         const std::string time_text = spec.substr(0, colon);
@@ -264,30 +261,28 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Scenario selection (link/trace/flow schedule/objective plan come from the catalog).
-  std::optional<Scenario> scenario;
+  // Scenario selection (link/trace/flow schedule/objective plan come from the
+  // catalog); a plain run is one agent on the --bw/--owd/--queue/--loss link.
+  Scenario scenario;
+  scenario.fixed_link = link;
   if (!scenario_name.empty()) {
     std::string error;
-    scenario = ScenarioRegistry::Global().Resolve(scenario_name, &error);
-    if (!scenario.has_value()) {
+    std::optional<Scenario> resolved =
+        ScenarioRegistry::Global().Resolve(scenario_name, &error);
+    if (!resolved.has_value()) {
       std::fprintf(stderr, "--scenario: %s (try --list-scenarios)\n", error.c_str());
       return 2;
     }
-  }
-
-  Rng rng(seed);
-  if (scenario.has_value()) {
+    scenario = std::move(*resolved);
     if (link_flags_given) {
       std::fprintf(stderr,
                    "warning: --scenario defines the link; ignoring --bw/--owd/"
                    "--queue/--loss\n");
     }
-    link = scenario->fixed_link.has_value()
-               ? *scenario->fixed_link
-               : (scenario->link_range.has_value() ? *scenario->link_range
-                                                   : TrainingRange())
-                     .Sample(&rng);
   }
+
+  Rng rng(seed);
+  link = scenario.SampleLink(&rng);
 
   // The agent-scheme factory: one controller per agent flow (MOCC flows share one
   // loaded model).
@@ -364,32 +359,29 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const int num_agents = scenario.has_value() ? scenario->num_agents : 1;
+  const int num_agents = scenario.num_agents;
 
   // Per-agent objective assignment, in override order: --weights for everyone, then
   // the scenario's objective plan (fixed mixes cycled / per-episode sample), then an
   // explicit --objectives list. Only MOCC consumes weights; other schemes warn.
   std::vector<WeightVector> agent_weights(static_cast<size_t>(num_agents), weights);
-  if (scenario.has_value() && scenario->HasObjectivePlan()) {
-    const ObjectivePlan& plan = scenario->objectives;
+  if (scenario.HasObjectivePlan()) {
     // The env's own episode-weight derivation, so the weights this report prints
-    // are provably the weights the scenario trains with.
-    agent_weights =
-        plan.EpisodeWeights(num_agents, std::move(agent_weights), &rng);
+    // follow the rules the scenario trains with.
+    agent_weights = scenario.objectives.EpisodeWeights(
+        num_agents, std::move(agent_weights), &rng);
     // An explicit --objectives overrides the WHOLE plan, scheduled switches
     // included — otherwise the plan would silently discard the user's requested
     // weights mid-run. The user's own --switch flags still apply.
     if (objective_list.empty()) {
-      for (const PreferenceSwitch& sw : plan.switches) {
-        switches.push_back({sw.time_s, sw.agent, sw.to});
-      }
-    }
-  }
-  if (!objective_list.empty()) {
-    if (scenario.has_value() && scenario->HasObjectivePlan()) {
+      switches.insert(switches.end(), scenario.objectives.switches.begin(),
+                      scenario.objectives.switches.end());
+    } else {
       std::fprintf(stderr,
                    "warning: --objectives overrides the scenario's objective plan\n");
     }
+  }
+  if (!objective_list.empty()) {
     for (int i = 0; i < num_agents; ++i) {
       agent_weights[static_cast<size_t>(i)] =
           objective_list[static_cast<size_t>(i) % objective_list.size()];
@@ -401,55 +393,17 @@ int main(int argc, char** argv) {
     switches.clear();
   }
   std::stable_sort(switches.begin(), switches.end(),
-                   [](const SwitchEvent& a, const SwitchEvent& b) {
+                   [](const PreferenceSwitch& a, const PreferenceSwitch& b) {
                      return a.time_s < b.time_s;
                    });
 
-  // The scenario's topology (dumbbell unless it names a parking lot or a
-  // congested reverse path) built from the resolved link, with the same path
-  // assignment MultiFlowCcEnv uses in training.
-  const TopologySpec topology_spec =
-      scenario.has_value() ? scenario->topology : TopologySpec{};
-  NetworkTopology net_topology = BuildTopology(topology_spec, link);
-  if (scenario.has_value() && !scenario->fault.empty()) {
-    // The scenario's injected fault schedule on the bottleneck link, mirroring
-    // MultiFlowCcEnv::Reset (with the phase drawn from the same rng position).
-    FaultSpec fault = scenario->fault;
-    if (fault.randomize_phase) {
-      fault.phase_s = rng.Uniform(0.0, fault.MaxPeriodS());
-    }
-    net_topology.links[0].fault = fault;
-  }
-  if (scenario.has_value() && !scenario->wifi_jitter.empty()) {
-    // Same idiom as the fault schedule: the jitter phase draw mirrors
-    // MultiFlowCcEnv::Reset's rng position.
-    WifiJitterSpec jitter = scenario->wifi_jitter;
-    if (jitter.randomize_phase) {
-      jitter.phase_s = rng.Uniform(0.0, jitter.MaxPeriodS());
-    }
-    net_topology.links[0].wifi_jitter = jitter;
-  }
-  if (scenario.has_value() && !scenario->aqm.empty()) {
-    net_topology.links[0].aqm = scenario->aqm;
-  }
-  // Per-agent data/ACK paths and propagation RTTs, mirroring MultiFlowCcEnv:
-  // heterogeneous topologies (N-leaf, per-link scales) give each agent its own
-  // leaf pair and per-hop-summed RTT; homogeneous ones keep the historical
-  // shared path and hops x base-RTT form (bit-identical).
-  const bool heterogeneous_topology = topology_spec.Heterogeneous();
-  std::vector<FlowPathSpec> agent_paths(static_cast<size_t>(num_agents));
-  std::vector<double> agent_path_rtt_s(static_cast<size_t>(num_agents), 0.0);
-  for (int i = 0; i < num_agents; ++i) {
-    agent_paths[static_cast<size_t>(i)] = AgentPath(topology_spec, i);
-    agent_path_rtt_s[static_cast<size_t>(i)] =
-        heterogeneous_topology
-            ? PathPropRttS(net_topology, agent_paths[static_cast<size_t>(i)].path)
-            : static_cast<double>(agent_paths[static_cast<size_t>(i)].path.size()) *
-                  link.BaseRttS();
-  }
-  PacketNetwork net(std::move(net_topology), seed);
+  // The episode network MultiFlowCcEnv trains on: topology, bottleneck link
+  // models (fault and jitter phases drawn here, in the env's order), agent and
+  // competitor paths and the agents' reward RTT references.
+  EpisodeNetwork episode = BuildEpisodeNetwork(scenario, link, &rng);
+  PacketNetwork net(episode.topology, seed);
   if (!mahimahi_path.empty()) {
-    if (scenario.has_value() && scenario->trace_generator) {
+    if (scenario.trace_generator) {
       std::fprintf(stderr,
                    "warning: --mahimahi overrides the scenario's bandwidth schedule\n");
     }
@@ -459,40 +413,28 @@ int main(int argc, char** argv) {
       return 1;
     }
     net.SetBandwidthTrace(std::move(trace));
-  } else if (scenario.has_value() && scenario->trace_generator) {
-    net.SetBandwidthTrace(scenario->trace_generator(link, &rng));
+  } else if (scenario.trace_generator) {
+    net.SetBandwidthTrace(scenario.trace_generator(link, &rng));
   }
 
   std::vector<int> agent_flows;
   std::vector<int> competitor_flows;
   // MOCC controllers stay addressable for online preference switching (owned by net).
   std::vector<RlRateController*> agent_controllers;
-  std::vector<double> agent_extra_delay(static_cast<size_t>(num_agents), 0.0);
   // Initial rate, the Eq. (1) update's slow-start analogue: a quarter of the pipe for
   // a lone flow (the historical heuristic), but a conservative half of the per-flow
   // fair share under contention — N flows each starting at 0.25x of a slow training
   // link would bury a 3000-packet queue seconds deep before the first MI completes.
   const int scenario_flow_count =
-      num_agents + static_cast<int>(
-                       scenario.has_value() ? scenario->competitor_schemes.size() : 0);
+      num_agents + static_cast<int>(scenario.competitor_schemes.size());
   const double initial_rate_bps =
       scenario_flow_count > 1
           ? std::max(0.1e6, 0.5 * link.bandwidth_bps /
                                 static_cast<double>(scenario_flow_count))
           : std::max(2e6, 0.25 * link.bandwidth_bps);
   for (int i = 0; i < num_agents; ++i) {
-    FlowOptions options;
-    options.start_time_s =
-        scenario.has_value() ? static_cast<double>(i) * scenario->agent_stagger_s : 0.0;
-    options.ecn_capable = scenario.has_value() && scenario->aqm.ecn;
-    options.path = agent_paths[static_cast<size_t>(i)].path;
-    options.ack_path = agent_paths[static_cast<size_t>(i)].ack_path;
-    if (scenario.has_value() && !scenario->agent_extra_delay_s.empty()) {
-      options.extra_one_way_delay_s =
-          scenario->agent_extra_delay_s[static_cast<size_t>(i) %
-                                        scenario->agent_extra_delay_s.size()];
-      agent_extra_delay[static_cast<size_t>(i)] = options.extra_one_way_delay_s;
-    }
+    FlowOptions& options = episode.agents[static_cast<size_t>(i)];
+    options.start_time_s = static_cast<double>(i) * scenario.agent_stagger_s;
     std::unique_ptr<CongestionControl> cc;
     if (scheme == "mocc") {
       auto controller =
@@ -502,19 +444,11 @@ int main(int argc, char** argv) {
     } else {
       cc = MakeBaselineCc(scheme);
     }
-    agent_flows.push_back(net.AddFlow(std::move(cc), options));
+    agent_flows.push_back(net.AddFlow(std::move(cc), std::move(options)));
   }
-  if (scenario.has_value()) {
-    int competitor_index = 0;
-    for (const std::string& competitor : scenario->competitor_schemes) {
-      const FlowPathSpec paths = CompetitorPath(topology_spec, competitor_index++);
-      FlowOptions options;
-      options.start_time_s = scenario->competitor_start_s;
-      options.stop_time_s = scenario->competitor_stop_s;
-      options.path = paths.path;
-      options.ack_path = paths.ack_path;
-      competitor_flows.push_back(net.AddFlow(MakeBaselineCc(competitor), options));
-    }
+  for (size_t i = 0; i < episode.competitors.size(); ++i) {
+    competitor_flows.push_back(net.AddFlow(MakeBaselineCc(scenario.competitor_schemes[i]),
+                                           episode.competitors[i]));
   }
   const int flow = agent_flows.front();
 
@@ -522,7 +456,7 @@ int main(int argc, char** argv) {
   // live controllers (SetObservationPrefix — the online adjustment, no restart),
   // then continue. Phase boundaries are kept for the phase report below.
   std::vector<double> phase_boundaries;
-  for (const SwitchEvent& sw : switches) {
+  for (const PreferenceSwitch& sw : switches) {
     if (sw.time_s <= 0.0 || sw.time_s >= duration) {
       std::fprintf(stderr,
                    "warning: switch @ %.1fs -> %s is outside (0, %.1fs) and will "
@@ -532,7 +466,7 @@ int main(int argc, char** argv) {
     }
     net.Run(sw.time_s);
     for (int i = 0; i < num_agents; ++i) {
-      if (sw.flow >= 0 && sw.flow != i) {
+      if (sw.agent >= 0 && sw.agent != i) {
         continue;
       }
       const WeightVector to = sw.to.Sanitized();
@@ -541,7 +475,7 @@ int main(int argc, char** argv) {
       agent_weights[static_cast<size_t>(i)] = to;
     }
     std::fprintf(stderr, "switch @ %.1fs: %s -> %s\n", sw.time_s,
-                 sw.flow < 0 ? "all agent flows" : "agent flow",
+                 sw.agent < 0 ? "all agent flows" : "agent flow",
                  sw.to.ToString().c_str());
     if (phase_boundaries.empty() || phase_boundaries.back() != sw.time_s) {
       phase_boundaries.push_back(sw.time_s);
@@ -628,9 +562,8 @@ int main(int argc, char** argv) {
         report.throughput_bps = stats.throughput_bps;
         report.avg_rtt_s = stats.avg_rtt_s;
         report.loss_rate = stats.loss_rate;
-        const double base_rtt_s = agent_path_rtt_s[i] + 2.0 * agent_extra_delay[i];
-        const RewardComponents c =
-            ComputeRewardComponents(report, fair_share_bps, base_rtt_s);
+        const RewardComponents c = ComputeRewardComponents(
+            report, fair_share_bps, episode.agent_base_rtt_s[i]);
         const WeightVector& w = agent_weights[i];
         std::fprintf(stderr,
                      "agent flow %d w=%s: %.3f Mbps, avg_rtt=%.1fms, loss=%.4f | "
